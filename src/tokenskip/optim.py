@@ -45,12 +45,24 @@ class AdamW:
                 g = np.zeros_like(p.data)
             if np.isnan(g).any():
                 raise FloatingPointError(f"NaN gradient in parameter {name!r}")
-            s.m[name] = b1 * s.m[name] + (1.0 - b1) * g
-            s.v[name] = b2 * s.v[name] + (1.0 - b2) * g * g
-            m_hat = s.m[name] / c1
-            v_hat = s.v[name] / c2
-            p.data -= lr * (m_hat / (np.sqrt(v_hat) + s.eps)
-                            + self.weight_decay * p.data)
+            # In place, with the roundings of
+            #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+            #   p -= lr * (m / c1 / (sqrt(v / c2) + eps) + wd * p)
+            m, v = s.m[name], s.v[name]
+            upd = np.multiply(g, 1.0 - b1)
+            m *= b1
+            m += upd
+            np.multiply(g, 1.0 - b2, out=upd)
+            upd *= g
+            v *= b2
+            v += upd
+            np.divide(v, c2, out=upd)
+            np.sqrt(upd, out=upd)
+            upd += s.eps
+            np.divide(m / c1, upd, out=upd)
+            upd += self.weight_decay * p.data
+            upd *= lr
+            p.data -= upd
 
     def zero_grad(self) -> None:
         for p in self.params.values():

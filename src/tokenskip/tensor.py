@@ -6,6 +6,18 @@ recorded graph in reverse topological order and accumulates gradients into
 every reachable tensor that requires them. Float32 is the default precision;
 float64 can be selected (globally or via the ``precision`` context manager)
 for tight gradient verification.
+
+Gradient ownership. Backward closures hand gradients to ``_accumulate``
+without copying them. An array passed with ``own=True`` is freshly allocated
+and referenced by nothing else, so the receiving tensor may later add into it
+in place. Any other array (a view of the incoming gradient, or the incoming
+gradient itself) is borrowed by a non-leaf tensor: it is kept by reference and
+copied only when a second gradient arrives for the same tensor. A leaf never
+borrows, so no two leaves share gradient memory and callers may modify a
+leaf's ``.grad`` in place. ``backward`` drops each non-leaf gradient as soon
+as it has been propagated, so afterwards only leaf ``.grad`` is meaningful,
+and a second ``backward`` on the same graph adds exactly one more gradient
+into every leaf.
 """
 
 from __future__ import annotations
@@ -66,7 +78,8 @@ def precision(bits: int):
 class Tensor:
     """A dense n-dimensional array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_grad_owned", "_parents",
+                 "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, np.ndarray):
@@ -78,6 +91,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
+        self._grad_owned = False
         self._parents: tuple = ()
         self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
 
@@ -102,7 +116,8 @@ class Tensor:
     def backward(self) -> None:
         """Populate gradients of every reachable requires_grad tensor.
 
-        Repeated calls without clearing gradients accumulate additively.
+        Repeated calls without clearing gradients accumulate additively into
+        leaf gradients; non-leaf gradients are dropped once propagated.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -113,8 +128,10 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad = self.grad + np.ones_like(self.data)
         for node in reversed(tape.nodes):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            if node._backward_fn is not None:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
@@ -160,17 +177,28 @@ class ComputeTape:
 def _accumulate(t: Tensor, g: np.ndarray, own: bool = False) -> None:
     """Add g into t's gradient.
 
-    own=True promises g is a freshly allocated array no one else references,
-    letting the first accumulation keep it instead of copying.
+    own=True promises g is a freshly allocated array no one else references:
+    t keeps it and may add into it in place. Otherwise a non-leaf t borrows g
+    by reference, never writes into it, and replaces it with a fresh sum on
+    the second write; a leaf copies it, so leaves never share gradient memory.
+    Either way the sum has the same bits as copy-then-add.
     """
-    if t.requires_grad:
-        if t.grad is None:
-            if own and g.dtype == t.data.dtype and g.shape == t.data.shape:
-                t.grad = g
-            else:
-                t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        if (g.dtype == t.data.dtype and g.shape == t.data.shape
+                and (own or t._backward_fn is not None)):
+            t.grad = g
+            t._grad_owned = own
         else:
-            t.grad += g
+            t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+            t._grad_owned = True
+    elif t._grad_owned:
+        t.grad += g
+    else:
+        # Same casting as the in-place add, into a fresh array.
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
+        t._grad_owned = True
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor],
@@ -376,14 +404,19 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     out += bias.data
 
     def backward(g):
+        # Two full-size buffers: tmp for products with xhat, gx for the result.
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=lead), own=True)
+        tmp = g * xhat
+        _accumulate(gain, tmp.sum(axis=lead), own=True)
         _accumulate(bias, g.sum(axis=lead), own=True)
         gx = g * gain.data
-        term = gx - gx.mean(axis=-1, keepdims=True)
-        term -= xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        term *= inv
-        _accumulate(x, term, own=True)
+        mean_gx = gx.mean(axis=-1, keepdims=True)
+        np.multiply(gx, xhat, out=tmp)
+        np.multiply(xhat, tmp.mean(axis=-1, keepdims=True), out=tmp)
+        gx -= mean_gx
+        gx -= tmp
+        gx *= inv
+        _accumulate(x, gx, own=True)
 
     return _make(out, (x, gain, bias), backward)
 
@@ -393,16 +426,34 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(t: Tensor) -> Tensor:
     """GELU nonlinearity (tanh approximation)."""
+    # Computed in place, operand order aside, as
+    #   out = 0.5 * x * (1 + tanh(C * (x + 0.044715 * x^3)))
+    # with the same roundings; x2 and th are kept for backward.
     x = t.data
     x2 = x * x
-    u = _GELU_C * (x + 0.044715 * (x2 * x))
-    th = np.tanh(u)
-    out = 0.5 * x * (1.0 + th)
+    th = x2 * x
+    th *= 0.044715
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    out = x * 0.5
+    out *= th + 1.0
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
-        _accumulate(t, g * local, own=True)
+        # local = 0.5 * (1 + th) + 0.5 * x * (1 - th^2) * C * (1 + 3 * 0.044715 * x^2)
+        du = x2 * (3 * 0.044715)
+        du += 1.0
+        du *= _GELU_C
+        local = th * th
+        np.subtract(1.0, local, out=local)
+        tmp = x * 0.5
+        local *= tmp
+        local *= du
+        np.add(th, 1.0, out=tmp)
+        tmp *= 0.5
+        local += tmp
+        local *= g
+        _accumulate(t, local, own=True)
 
     return _make(out, (t,), backward)
 
@@ -513,7 +564,7 @@ def take(t: Tensor, idx, axis: int) -> Tensor:
             acc[idx] = np.moveaxis(g, axis, 0)
         else:
             np.add.at(acc, idx, np.moveaxis(g, axis, 0))
-        _accumulate(t, np.moveaxis(acc, 0, axis))
+        _accumulate(t, np.moveaxis(acc, 0, axis), own=True)
 
     return _make(out, (t,), backward)
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tokenskip import checkpoint
+from tokenskip import checkpoint, cli
+from tokenskip.checkpoint import CheckpointError
 from tokenskip.vit import ModelConfig, ViT
 
 TINY = ModelConfig(depth=2, heads=2, embed_dim=8, ffn_ratio=2,
@@ -63,3 +64,65 @@ def test_rejects_unknown_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version 99"):
         checkpoint.load(path)
+
+
+def test_truncated_archive_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save(ViT(TINY, seed=0), path)
+    path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(CheckpointError, match="truncated"):
+        checkpoint.load(path)
+
+
+def test_trailing_bytes_are_a_checkpoint_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save(ViT(TINY, seed=0), path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing"):
+        checkpoint.load(path)
+
+
+def test_missing_parameter_is_a_checkpoint_error(tmp_path):
+    model = ViT(TINY, seed=0)
+    del model.params["head.b"]
+    checkpoint.save(model, tmp_path / "m.ckpt")
+    with pytest.raises(CheckpointError, match="head.b"):
+        checkpoint.load(tmp_path / "m.ckpt")
+
+
+def test_unknown_parameter_is_a_checkpoint_error(tmp_path):
+    model = ViT(TINY, seed=0)
+    model.params["extra"] = model.params["head.b"]
+    checkpoint.save(model, tmp_path / "m.ckpt")
+    with pytest.raises(CheckpointError, match="extra"):
+        checkpoint.load(tmp_path / "m.ckpt")
+
+
+def test_misshapen_parameter_is_a_checkpoint_error(tmp_path):
+    model = ViT(TINY, seed=0)
+    model.params["head.w"].data = np.zeros((8, 4), dtype=np.float32)
+    checkpoint.save(model, tmp_path / "m.ckpt")
+    with pytest.raises(CheckpointError, match=r"head.w.*\[8, 4\].*\[8, 3\]"):
+        checkpoint.load(tmp_path / "m.ckpt")
+
+
+def test_failed_save_keeps_previous_archive(tmp_path):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save(ViT(TINY, seed=0), path)
+    before = path.read_bytes()
+    model = ViT(TINY, seed=1)
+    model.params["head.w"].data = model.params["head.w"].data.astype(np.float16)
+    with pytest.raises(KeyError):
+        checkpoint.save(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_cli_eval_of_corrupt_checkpoint_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save(ViT(TINY, seed=0), path)
+    path.write_bytes(path.read_bytes()[:-10])
+    code = cli.main(["eval", "--checkpoint", str(path), "--set", "model.preset=tiny",
+                     "--set", "dataset.train_n=8", "--set", "dataset.val_n=8"])
+    assert code == cli.EXIT_RUNTIME
+    assert "truncated" in capsys.readouterr().err

@@ -91,6 +91,40 @@ class TestAdamW:
         assert p.grad is None or not p.grad.any()
 
 
+def _adamw_reference(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """The textbook AdamW step the in-place update must reproduce bit for bit."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    p = p - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p)
+    return p, m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("wd", [0.0, 0.05])
+def test_adamw_matches_textbook_step_bitwise(dtype, wd):
+    rng = np.random.default_rng(4)
+    shapes = {"w": (7, 5), "b": (5,)}
+    params = {n: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+              for n, s in shapes.items()}
+    ref = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+           for n, p in params.items()}
+    opt = AdamW(params, 3e-3, weight_decay=wd)
+    for t, lr in enumerate([1e-3, 2.5e-3, 7e-4], start=1):
+        for n, p in params.items():
+            p.grad = rng.normal(size=shapes[n]).astype(dtype)
+            rp, rm, rv = ref[n]
+            ref[n] = _adamw_reference(rp, p.grad, rm, rv, t, lr, wd)
+        opt.step(lr)
+        for n, p in params.items():
+            rp, rm, rv = ref[n]
+            assert p.data.dtype == dtype
+            assert np.array_equal(p.data, rp)
+            assert np.array_equal(opt.state.m[n], rm)
+            assert np.array_equal(opt.state.v[n], rv)
+
+
 class TestLRSchedule:
     KW = dict(learning_rate=1e-3, warmup_lr=1e-6, lr_warmup_epochs=2,
               epochs=10)

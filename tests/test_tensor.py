@@ -223,3 +223,146 @@ def test_forward_bit_identical_across_runs():
 
     a, b = run(), run()
     assert (a == b).all()
+
+
+def test_second_backward_exactly_doubles_leaf_gradients():
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    loss = T.tensor_sum(T.scale(T.scale(x, 3.0), 2.0))
+    loss.backward()
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [12.0, 12.0])
+
+    # Each leaf takes one gradient per pass, so doubling is exact in floats.
+    rng = np.random.default_rng(6)
+    p = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+         for name, shape in [("x", (2, 3, 4)), ("w", (4, 4)), ("b", (4,)),
+                             ("g", (4,)), ("beta", (4,)), ("r", (2, 3, 4))]}
+    h = T.add(T.matmul(p["x"], p["w"]), p["b"])
+    h = T.gelu(T.layernorm(h, p["g"], p["beta"]))
+    h = T.add(T.reshape(T.permute(h, (0, 2, 1)), (2, 3, 4)), p["r"])
+    loss = T.tensor_sum(T.mul(h, h))
+    loss.backward()
+    first = {name: t.grad.copy() for name, t in p.items()}
+    loss.backward()
+    for name, t in p.items():
+        np.testing.assert_array_equal(t.grad, 2 * first[name], err_msg=name)
+
+
+# Textbook formulas the in-place kernels must reproduce bit for bit.
+
+def _gelu_reference(x):
+    x2 = x * x
+    u = T._GELU_C * (x + 0.044715 * (x2 * x))
+    th = np.tanh(u)
+    out = 0.5 * x * (1.0 + th)
+    du = T._GELU_C * (1.0 + 3 * 0.044715 * x2)
+    local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
+    return out, local
+
+
+def _layernorm_reference(x, gain, bias, g, eps=1e-5):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = x - mean
+    xhat *= inv
+    out = xhat * gain + bias
+    lead = tuple(range(g.ndim - 1))
+    gx = g * gain
+    term = gx - gx.mean(axis=-1, keepdims=True)
+    term -= xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+    term *= inv
+    return out, term, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def _grads_under(out, upstream):
+    """Backpropagate an arbitrary upstream gradient into out."""
+    T.tensor_sum(T.mul(out, Tensor(upstream))).backward()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(3))
+def test_gelu_matches_textbook_formula_bitwise(dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.normal(size=(3, 17, 33)) * 3).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    t = Tensor(x.copy(), requires_grad=True)
+    out = T.gelu(t)
+    _grads_under(out, g)
+    ref_out, ref_local = _gelu_reference(x)
+    assert out.data.dtype == dtype and t.grad.dtype == dtype
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(t.grad, g * ref_local)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(3))
+def test_layernorm_matches_textbook_formula_bitwise(dtype, seed):
+    rng = np.random.default_rng(seed)
+    x, gain, bias, g = (rng.normal(size=s).astype(dtype)
+                        for s in [(4, 9, 24), (24,), (24,), (4, 9, 24)])
+    xt, gt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, gain, bias))
+    out = T.layernorm(xt, gt, bt)
+    _grads_under(out, g)
+    ref_out, ref_gx, ref_gain, ref_bias = _layernorm_reference(x, gain, bias, g)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(xt.grad, ref_gx)
+    assert np.array_equal(gt.grad, ref_gain)
+    assert np.array_equal(bt.grad, ref_bias)
+
+
+def test_add_and_mul_of_one_tensor_with_itself():
+    x = Tensor([1.5, -2.0], requires_grad=True)
+    T.tensor_sum(T.add(x, x)).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    x = Tensor([1.5, -2.0], requires_grad=True)
+    T.tensor_sum(T.mul(x, x)).backward()
+    np.testing.assert_array_equal(x.grad, [3.0, -4.0])
+
+    # Non-leaf operands borrow the incoming gradient, then must copy it.
+    x = Tensor([1.5, -2.0], requires_grad=True)
+    h = T.reshape(x, (2, 1))
+    T.tensor_sum(T.scale(T.add(T.add(h, h), h), 5.0)).backward()
+    np.testing.assert_array_equal(x.grad, [15.0, 15.0])
+
+
+@pytest.mark.parametrize("view", ["reshape", "permute", "transpose"])
+@pytest.mark.parametrize("first", [0, 1])
+def test_view_fanout_into_a_twice_accumulated_tensor(view, first):
+    rng = np.random.default_rng(7)
+    xa, xb = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 3))
+    a = Tensor(xa, requires_grad=True)
+    b = Tensor(xb, requires_grad=True)
+    # h receives a borrowed view first, then a second gradient; the add that
+    # produced the view also handed its incoming gradient to the other branch.
+    h = T.scale(a, 1.0)
+    views = {"reshape": lambda t: T.reshape(t, (2, 4, 3)),
+             "permute": lambda t: T.permute(t, (0, 2, 1)),
+             "transpose": lambda t: T.transpose(t, 1, 2)}
+    k = T.scale(b, 1.0)
+    pair = [views[view](h), k]
+    if first:
+        pair.reverse()
+    y = T.add(*pair)
+    loss = T.add(T.tensor_sum(T.scale(y, 2.0)),
+                 T.tensor_sum(T.mul(h, Tensor(np.full((2, 3, 4), 3.0)))))
+    loss = T.add(loss, T.tensor_sum(T.scale(k, 7.0)))
+    loss.backward()
+    np.testing.assert_array_equal(a.grad, np.full((2, 3, 4), 5.0))
+    np.testing.assert_array_equal(b.grad, np.full((2, 4, 3), 9.0))
+
+
+def test_leaves_never_share_gradient_memory():
+    rng = np.random.default_rng(8)
+    x, y, w = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(3))
+    z, u = (Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(2))
+    out = T.add(T.add(x, y), T.concat([z, u], axis=1))
+    out = T.add(out, T.transpose(T.transpose(w, 0, 1), 0, 1))
+    T.tensor_sum(out).backward()
+    grads = [x.grad, y.grad, w.grad, z.grad, u.grad]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+    x.grad += 1.0
+    np.testing.assert_array_equal(y.grad, np.ones((3, 4)))
