@@ -7,7 +7,8 @@ Layout (all integers little-endian):
   uint64 each, raw little-endian payload. Round-trips are bit-exact.
 
 An archive must hold exactly the parameters of its model config, each with
-its model shape. A truncated or inconsistent archive raises CheckpointError;
+its model shape, as float32 or float64 (anything else fails the save with
+CheckpointError). A truncated or inconsistent archive raises CheckpointError;
 a file that is not an archive, or of another format version, ValueError.
 Saves write a temporary file and rename it over the target, so a failed save
 leaves any previous archive intact.
@@ -38,6 +39,11 @@ class CheckpointError(RuntimeError):
 
 def save(model: ViT, path) -> None:
     path = Path(path)
+    for name, p in model.params.items():
+        if p.data.dtype.kind != "f" or p.data.dtype.itemsize not in _DTYPE_CODES:
+            raise CheckpointError(
+                f"parameter {name!r} has dtype {p.data.dtype}; archives hold "
+                "float32 or float64")
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:

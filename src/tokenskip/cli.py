@@ -8,12 +8,14 @@ failure (missing files, numeric breakdown). All compute counts are MACs
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import checkpoint, config as cfgmod, data, flops, tensor as T, trainer
 from .config import ConfigError, ExperimentConfig
+from .tokendrop import MODE_FUSE, MODE_NONE
 from .vit import ViT
 
 EXIT_OK = 0
@@ -79,10 +81,10 @@ def _load_data(cfg: ExperimentConfig):
 
 
 def _schedule_label(schedule) -> str:
-    if not schedule.stages or schedule.mode == "none":
+    if not schedule.stages or schedule.mode == MODE_NONE:
         return "baseline"
     stages = "+".join(f"{int(round(r * 100))}%@{l}" for l, r in schedule.stages)
-    if schedule.mode == "fuse":
+    if schedule.mode == MODE_FUSE:
         return f"fuse {stages}"
     return f"skip {stages}->{schedule.skip_target}"
 
@@ -120,10 +122,22 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_geometry(model: ViT, cfg: ExperimentConfig) -> None:
+    """Reject a checkpoint whose model config differs from model.*."""
+    wanted = dataclasses.asdict(cfg.model)
+    differing = [f"model.{key}: checkpoint {value}, configured {wanted[key]}"
+                 for key, value in dataclasses.asdict(model.config).items()
+                 if value != wanted[key]]
+    if differing:
+        raise ConfigError("checkpoint does not match the configured model: "
+                          + "; ".join(differing))
+
+
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
     with T.precision(cfg.precision):
         model = checkpoint.load(args.checkpoint)
+        _check_geometry(model, cfg)
         _, val_split = _load_data(cfg)
         top1 = trainer.evaluate(model, val_split, cfg.schedule,
                                 batch_size=cfg.train.batch_size)
@@ -217,7 +231,8 @@ def _with_delta(value: float, baseline: float, decimals: int,
 
 def format_report(rows: list) -> str:
     """Comparison table: throughput and top-1 with deltas vs the baseline row."""
-    base = next((r for r in rows if r.get("mode", "none") == "none"), None)
+    base = next((r for r in rows if r.get("mode", MODE_NONE) == MODE_NONE),
+                None)
     if base is None:
         raise ValueError("no baseline row (schedule mode none) among results")
     header = ["schedule", "samples/sec", "top-1(%)", "MAC saving"]

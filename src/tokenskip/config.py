@@ -135,7 +135,7 @@ _MODEL_FIELDS = {"depth": int, "heads": int, "embed_dim": int,
                  "num_classes": int, "channels": int}
 _TRAIN_FIELDS = {"batch_size": int, "epochs": int, "weight_decay": float,
                  "learning_rate": float, "warmup_lr": float,
-                 "lr_warmup_epochs": int, "lr_schedule": str, "mixup": float}
+                 "lr_warmup_epochs": int, "lr_schedule": str}
 _SCHEDULE_FIELDS = {"mode": str, "drop_layers": "csv_int",
                     "drop_ratios": "csv_float", "skip_target": int,
                     "warmup_epochs": int, "drop_after_ffn": bool}

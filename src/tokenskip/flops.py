@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tokendrop import DropSchedule, keep_count_for, validate
+from .tokendrop import DropSchedule, plan, validate
 from .vit import ModelConfig, ViT
 
 
@@ -83,36 +83,13 @@ def _ffn_macs(n: int, config: ModelConfig) -> int:
 
 
 def token_counts(config: ModelConfig, schedule: DropSchedule):
-    """Live token counts per layer: (attention input, FFN input, fused) tuples.
+    """Live token counts per layer: (attention input, FFN input, fused).
 
-    ``fused`` is the dropped-token count entering a fusion at that layer
-    (0 elsewhere). Reflects drop-after-attention placement by default and the
-    drop_after_ffn ablation flag, with reinsertion ahead of the skip target.
+    Read off the post-warm-up ``tokendrop.plan``; ``fused`` is the dropped
+    token count entering a fusion at that layer (0 elsewhere).
     """
-    n = config.num_tokens
-    active = schedule.is_active(10 ** 9)  # epoch-independent topology
-    counts = []
-    for layer in range(config.depth):
-        if (active and schedule.mode == "skip"
-                and schedule.skip_target == layer):
-            n = config.num_tokens
-        attn_n = n
-        ratio = schedule.ratio_at(layer) if active else None
-        fused_k = 0
-        post_n = n
-        if ratio is not None:
-            patches = n - 1
-            kept = keep_count_for(patches, ratio)
-            dropped = patches - kept
-            if dropped:
-                post_n = kept + 1
-                if schedule.mode == "fuse":
-                    post_n += 1
-                    fused_k = dropped
-        ffn_n = attn_n if (ratio is None or schedule.drop_after_ffn) else post_n
-        counts.append((attn_n, ffn_n, fused_k))
-        n = post_n
-    return counts
+    return [(p.attn_tokens, p.ffn_tokens, p.fused)
+            for p in plan(schedule, config)]
 
 
 def estimate_flops(config: ModelConfig, schedule: DropSchedule) -> CostReport:

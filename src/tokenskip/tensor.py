@@ -395,10 +395,9 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
             f"layernorm gain/bias must have shape [{d}], got "
             f"{list(gain.shape)} and {list(bias.shape)}"
         )
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = x.data - mean
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # Same operations as np.var, without centring x a second time.
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data

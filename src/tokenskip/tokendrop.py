@@ -61,15 +61,15 @@ class DropSchedule:
         return cls(stages=((drop_layer, ratio),), skip_target=None,
                    mode=MODE_FUSE, warmup_epochs=warmup_epochs)
 
-    def is_active(self, epoch: int) -> bool:
-        return (self.mode != MODE_NONE and len(self.stages) > 0
-                and epoch >= self.warmup_epochs)
 
-    def ratio_at(self, layer: int) -> Optional[float]:
-        for drop_layer, ratio in self.stages:
-            if drop_layer == layer:
-                return ratio
-        return None
+@dataclass(frozen=True)
+class LayerPlan:
+    """Token topology of one layer, as ``plan`` derives it from a schedule."""
+    attn_tokens: int                # tokens entering the attention sublayer
+    ffn_tokens: int                 # tokens entering the FFN sublayer
+    ratio: Optional[float] = None   # drop ratio of this layer's stage, if any
+    fused: int = 0                  # dropped tokens fused into one token here
+    reinsert: bool = False          # merge the stash back before attention
 
 
 @dataclass
@@ -138,6 +138,40 @@ def validate(schedule: DropSchedule, config: ModelConfig) -> None:
             raise ValueError("fuse mode supports a single drop stage")
 
 
+def plan(schedule: DropSchedule, config: ModelConfig,
+         epoch: int = 10 ** 9) -> list:
+    """One LayerPlan per layer: the token topology of the forward pass.
+
+    Dense before ``warmup_epochs``; the stash is reinserted at the skip target
+    only if something was dropped into it. Does not validate, so a schedule
+    ``validate`` rejects (a layer-0 drop) can still be executed.
+    """
+    n = config.num_tokens
+    if schedule.mode == MODE_NONE or epoch < schedule.warmup_epochs:
+        return [LayerPlan(n, n) for _ in range(config.depth)]
+    ratios = dict(reversed(schedule.stages))  # a layer's first stage wins
+    stashed = 0
+    layers = []
+    for layer in range(config.depth):
+        reinsert = (schedule.mode == MODE_SKIP and stashed > 0
+                    and layer == schedule.skip_target)
+        if reinsert:
+            n, stashed = n + stashed, 0
+        attn_n, fused = n, 0
+        ratio = ratios.get(layer)
+        if ratio is not None:
+            dropped = n - 1 - keep_count_for(n - 1, ratio)
+            n -= dropped
+            if schedule.mode == MODE_FUSE and dropped:
+                fused = dropped
+                n += 1
+            else:
+                stashed += dropped
+        ffn_n = attn_n if ratio is None or schedule.drop_after_ffn else n
+        layers.append(LayerPlan(attn_n, ffn_n, ratio, fused, reinsert))
+    return layers
+
+
 def cls_importance(record: AttentionRecord) -> ImportanceVector:
     """Head-averaged CLS attention row, with the CLS self-attention removed."""
     b, heads, n, _ = record.scores.shape
@@ -188,6 +222,19 @@ def _position_lut(positions: np.ndarray) -> np.ndarray:
     return lut
 
 
+def _gather_partition(tokens: TokenBatch, keep_pos: np.ndarray,
+                      drop_pos: np.ndarray):
+    """Live (CLS + keep set) rows and positions, dropped rows and row indices."""
+    b = tokens.positions.shape[0]
+    lut = _position_lut(tokens.positions)
+    brange = np.arange(b)[:, None]
+    live_pos = np.concatenate([np.zeros((b, 1), dtype=keep_pos.dtype), keep_pos],
+                              axis=1)
+    drop_idx = lut[brange, drop_pos]
+    live = T.gather_rows(tokens.embeddings, lut[brange, live_pos])
+    return live, live_pos, T.gather_rows(tokens.embeddings, drop_idx), drop_idx
+
+
 def _check_partition(positions: np.ndarray, keep_pos: np.ndarray,
                      drop_pos: np.ndarray) -> None:
     b = positions.shape[0]
@@ -212,13 +259,7 @@ def split(tokens: TokenBatch, keep_pos: np.ndarray, drop_pos: np.ndarray,
     _check_partition(tokens.positions, keep_pos, drop_pos)
     if drop_pos.shape[1] == 0:
         return tokens
-    b = tokens.positions.shape[0]
-    lut = _position_lut(tokens.positions)
-    brange = np.arange(b)[:, None]
-    live_pos = np.concatenate([np.zeros((b, 1), dtype=keep_pos.dtype), keep_pos],
-                              axis=1)
-    live = T.gather_rows(tokens.embeddings, lut[brange, live_pos])
-    dropped = T.gather_rows(tokens.embeddings, lut[brange, drop_pos])
+    live, live_pos, dropped, _ = _gather_partition(tokens, keep_pos, drop_pos)
     stash.entries.append(StashEntry(layer, dropped, drop_pos.copy()))
     return TokenBatch(live, live_pos, layer)
 
@@ -267,18 +308,11 @@ def fuse_into(tokens: TokenBatch, importance: ImportanceVector,
               layer: int) -> TokenBatch:
     """Replace the drop set with a single fused token appended to the live batch."""
     _check_partition(tokens.positions, keep_pos, drop_pos)
-    b = tokens.positions.shape[0]
-    lut = _position_lut(tokens.positions)
-    brange = np.arange(b)[:, None]
-    live_pos = np.concatenate([np.zeros((b, 1), dtype=keep_pos.dtype), keep_pos],
-                              axis=1)
-    live = T.gather_rows(tokens.embeddings, lut[brange, live_pos])
-    drop_idx = lut[brange, drop_pos]
-    dropped = T.gather_rows(tokens.embeddings, drop_idx)
+    live, live_pos, dropped, drop_idx = _gather_partition(tokens, keep_pos,
+                                                          drop_pos)
     # Importance is indexed by patch slot; token row i is patch slot i - 1.
-    k = drop_pos.shape[1]
-    imp3 = T.reshape(importance.scores,
-                     importance.scores.shape + (1,))
+    b, k = drop_pos.shape
+    imp3 = T.reshape(importance.scores, importance.scores.shape + (1,))
     dropped_imp = T.reshape(T.gather_rows(imp3, drop_idx - 1), (b, k))
     fused = fuse(dropped, dropped_imp)
     merged = T.concat([live, fused], axis=1)

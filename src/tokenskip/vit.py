@@ -224,48 +224,44 @@ class ViT:
 
     def forward(self, images, schedule=None, epoch: int = 0,
                 collect_records: bool = False):
-        """Full forward pass with optional token dropping per the schedule."""
+        """Full forward pass executing the schedule's per-layer token plan."""
         from . import tokendrop
 
-        c = self.config
         if schedule is None:
             schedule = tokendrop.DropSchedule.none()
-        dropping = schedule.is_active(epoch)
         stash = tokendrop.TokenStash()
         diag = ForwardDiagnostics(records=[] if collect_records else None)
 
         tokens = self.patchify(images)
-        for layer in range(c.depth):
-            if (dropping and schedule.mode == "skip"
-                    and schedule.skip_target == layer and stash.entries):
+        for layer, step in enumerate(tokendrop.plan(schedule, self.config,
+                                                    epoch)):
+            if step.reinsert:
                 tokens = tokendrop.reinsert(tokens, stash)
             diag.attn_tokens.append(tokens.num_tokens)
             tokens, record = self.attention_block(tokens, layer)
             if collect_records:
                 diag.records.append(record)
-            ratio = schedule.ratio_at(layer) if dropping else None
-            if ratio is not None and not schedule.drop_after_ffn:
-                tokens = self._apply_drop(tokens, record, ratio, schedule,
-                                          stash, layer, diag)
+            if step.ratio is not None and not schedule.drop_after_ffn:
+                tokens = self._apply_drop(tokens, record, step, stash, layer,
+                                          diag)
             tokens = self.ffn_block(tokens, layer)
-            if ratio is not None and schedule.drop_after_ffn:
-                tokens = self._apply_drop(tokens, record, ratio, schedule,
-                                          stash, layer, diag)
+            if step.ratio is not None and schedule.drop_after_ffn:
+                tokens = self._apply_drop(tokens, record, step, stash, layer,
+                                          diag)
         diag.final_positions = tokens.positions
         logits = self.classify(tokens)
         return logits, diag
 
-    def _apply_drop(self, tokens, record, ratio, schedule, stash, layer, diag):
+    def _apply_drop(self, tokens, record, step, stash, layer, diag):
         from . import tokendrop
 
         importance = tokendrop.cls_importance(record)
-        patch_positions = tokens.positions[:, 1:]
-        keep_pos, drop_pos = tokendrop.select_topk(importance, ratio,
-                                                   patch_positions)
+        keep_pos, drop_pos = tokendrop.select_topk(importance, step.ratio,
+                                                   tokens.positions[:, 1:])
         diag.kept_patches[layer] = keep_pos.shape[1]
         if drop_pos.shape[1] == 0:
             return tokens
-        if schedule.mode == "fuse":
+        if step.fused:
             return tokendrop.fuse_into(tokens, importance, keep_pos, drop_pos,
                                        layer)
         return tokendrop.split(tokens, keep_pos, drop_pos, stash, layer)

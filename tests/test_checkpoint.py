@@ -112,7 +112,7 @@ def test_failed_save_keeps_previous_archive(tmp_path):
     before = path.read_bytes()
     model = ViT(TINY, seed=1)
     model.params["head.w"].data = model.params["head.w"].data.astype(np.float16)
-    with pytest.raises(KeyError):
+    with pytest.raises(CheckpointError, match="head.w.*float16"):
         checkpoint.save(model, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

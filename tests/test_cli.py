@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from tokenskip import cli
+from tokenskip import checkpoint, cli
+from tokenskip.vit import MODEL_PRESETS, ViT
 
 TINY = ["--set", "model.preset=tiny", "--set", "dataset.train_n=24",
         "--set", "dataset.val_n=8", "--set", "train.batch_size=8",
@@ -86,6 +87,17 @@ class TestTrainEvalBench:
                        "--seed", "3", *TINY)[0] == 0
             blobs.append((out_dir / "metrics.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_eval_rejects_checkpoint_of_other_geometry(self, capsys, tmp_path):
+        path = tmp_path / "tiny.ckpt"
+        checkpoint.save(ViT(MODEL_PRESETS["tiny"], seed=0), path)
+        code, out, err = run(capsys, "eval", "--checkpoint", str(path), *TINY,
+                             "--set", "model.depth=7",
+                             "--set", "model.num_classes=5")
+        assert code == cli.EXIT_CONFIG
+        assert "top-1" not in out
+        assert "model.depth" in err and "model.num_classes" in err
+        assert "model.embed_dim" not in err
 
     def test_bench_prints_rate(self, capsys, tmp_path):
         code, out, _ = run(capsys, "bench", "--out", str(tmp_path), *TINY)

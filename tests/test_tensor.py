@@ -299,16 +299,19 @@ def test_gelu_matches_textbook_formula_bitwise(dtype, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_layernorm_matches_textbook_formula_bitwise(dtype, seed):
     rng = np.random.default_rng(seed)
-    x, gain, bias, g = (rng.normal(size=s).astype(dtype)
-                        for s in [(4, 9, 24), (24,), (24,), (4, 9, 24)])
-    xt, gt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, gain, bias))
-    out = T.layernorm(xt, gt, bt)
-    _grads_under(out, g)
-    ref_out, ref_gx, ref_gain, ref_bias = _layernorm_reference(x, gain, bias, g)
-    assert np.array_equal(out.data, ref_out)
-    assert np.array_equal(xt.grad, ref_gx)
-    assert np.array_equal(gt.grad, ref_gain)
-    assert np.array_equal(bt.grad, ref_bias)
+    # The desk model's shapes: full and skip-reduced token sets, CLS head.
+    for shape in [(4, 9, 24), (64, 65, 128), (64, 30, 128), (64, 128)]:
+        d = shape[-1]
+        x, gain, bias, g = (rng.normal(size=s).astype(dtype)
+                            for s in [shape, (d,), (d,), shape])
+        xt, gt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, gain, bias))
+        out = T.layernorm(xt, gt, bt)
+        _grads_under(out, g)
+        ref_out, ref_gx, ref_gain, ref_bias = _layernorm_reference(x, gain, bias, g)
+        assert np.array_equal(out.data, ref_out), shape
+        assert np.array_equal(xt.grad, ref_gx), shape
+        assert np.array_equal(gt.grad, ref_gain), shape
+        assert np.array_equal(bt.grad, ref_bias), shape
 
 
 def test_add_and_mul_of_one_tensor_with_itself():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from tokenskip import tensor as T
 from tokenskip.tensor import Tensor
 from tokenskip import tokendrop as td
-from tokenskip.vit import AttentionRecord, ModelConfig, TokenBatch
+from tokenskip.vit import AttentionRecord, ModelConfig, TokenBatch, ViT
 
 
 def record_from(scores, layer=0):
@@ -219,6 +219,95 @@ class TestValidate:
 
     def test_none_mode_always_valid(self):
         td.validate(td.DropSchedule.none(), self.CFG)
+
+
+def _plan_matrix(depth, warmup):
+    """Criterion 4's schedules: dense, single, two-stage, fuse, both placements."""
+    mid, last = depth // 2, depth - 1
+    for after_ffn in (False, True):
+        common = dict(warmup_epochs=warmup, drop_after_ffn=after_ffn)
+        yield td.DropSchedule(**common)
+        yield td.DropSchedule(stages=((mid, 0.55),), skip_target=last,
+                              mode=td.MODE_SKIP, **common)
+        yield td.DropSchedule(stages=((max(1, mid - 2), 0.3), (mid, 0.3)),
+                              skip_target=last, mode=td.MODE_SKIP, **common)
+        yield td.DropSchedule(stages=((mid, 0.45),), mode=td.MODE_FUSE, **common)
+
+
+class TestPlan:
+    CFG = ModelConfig(depth=6, heads=2, embed_dim=8, ffn_ratio=2,
+                      patch_size=2, image_size=8, num_classes=3)
+
+    def test_plan_matches_observed_forward(self, monkeypatch):
+        """Every planned count equals what the forward pass actually runs on."""
+        model = ViT(self.CFG, seed=0)
+        images = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
+        seen = {}
+        ffn_block, fuse_into, reinsert = ViT.ffn_block, td.fuse_into, td.reinsert
+
+        def ffn(self, tokens, layer):
+            seen["ffn"].append(tokens.num_tokens)
+            return ffn_block(self, tokens, layer)
+
+        def fuse(tokens, importance, keep_pos, drop_pos, layer):
+            seen["fused"][layer] = drop_pos.shape[1]
+            return fuse_into(tokens, importance, keep_pos, drop_pos, layer)
+
+        def merge(tokens, stash):
+            # The batch still carries the index of the layer before.
+            seen["reinsert"].append(tokens.layer_index + 1)
+            return reinsert(tokens, stash)
+
+        monkeypatch.setattr(ViT, "ffn_block", ffn)
+        monkeypatch.setattr(td, "fuse_into", fuse)
+        monkeypatch.setattr(td, "reinsert", merge)
+        checked = 0
+        for schedule in _plan_matrix(self.CFG.depth, warmup=2):
+            for epoch in (1, 2):
+                seen.update(ffn=[], fused={}, reinsert=[])
+                _, diag = model.forward(images, schedule, epoch=epoch)
+                steps = td.plan(schedule, self.CFG, epoch)
+                assert [s.attn_tokens for s in steps] == diag.attn_tokens
+                assert [s.ffn_tokens for s in steps] == seen["ffn"]
+                assert {i: td.keep_count_for(s.attn_tokens - 1, s.ratio)
+                        for i, s in enumerate(steps)
+                        if s.ratio is not None} == diag.kept_patches
+                assert {i: s.fused for i, s in enumerate(steps)
+                        if s.fused} == seen["fused"]
+                assert [i for i, s in enumerate(steps)
+                        if s.reinsert] == seen["reinsert"]
+                # Dense before warm-up; afterwards every stage drops.
+                dense = td.plan(td.DropSchedule.none(), self.CFG)
+                hot = epoch >= schedule.warmup_epochs and bool(schedule.stages)
+                assert (steps != dense) == hot
+                assert set(diag.kept_patches) == (
+                    {layer for layer, _ in schedule.stages} if hot else set())
+                checked += 1
+        assert checked == 16
+
+    def test_default_epoch_is_past_warmup(self):
+        sched = td.DropSchedule.single(3, 0.55, 5, warmup_epochs=7)
+        steps = td.plan(sched, self.CFG)
+        assert [s.attn_tokens for s in steps] == [17, 17, 17, 17, 9, 17]
+        assert [s.ffn_tokens for s in steps] == [17, 17, 17, 9, 9, 17]
+
+    def test_ratio_zero_stage_plans_no_reinsert(self):
+        sched = td.DropSchedule(stages=((2, 0.0),), skip_target=4,
+                                mode=td.MODE_SKIP)
+        steps = td.plan(sched, self.CFG)
+        assert steps[2].ratio == 0.0
+        assert not any(s.reinsert for s in steps)
+        assert all(s.attn_tokens == s.ffn_tokens == 17 for s in steps)
+
+    def test_layer_zero_drop_is_planned_without_validation(self):
+        config = ModelConfig(depth=2, heads=2, embed_dim=8, ffn_ratio=2,
+                             patch_size=2, image_size=4, num_classes=3)
+        sched = td.DropSchedule(stages=((0, 0.5),), skip_target=1,
+                                mode=td.MODE_SKIP)
+        with pytest.raises(ValueError, match="layer 0"):
+            td.validate(sched, config)
+        assert td.plan(sched, config) == [
+            td.LayerPlan(5, 3, 0.5), td.LayerPlan(5, 5, reinsert=True)]
 
 
 class TestKeepCount:

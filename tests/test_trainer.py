@@ -1,11 +1,12 @@
 """Training loop tests: smoke runs, determinism, evaluation, benchmarking."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tokenskip import data, tokendrop, trainer
+from tokenskip import cli, config, data, tokendrop, trainer
 from tokenskip.tokendrop import DropSchedule
 from tokenskip.trainer import TrainConfig
 from tokenskip.vit import ModelConfig, ViT
@@ -75,11 +76,15 @@ class TestTrain:
                                 stop_at_train_top1=0.0)
         assert len(metrics.epochs) == 1
 
-    def test_mixup_is_rejected(self):
+    def test_mixup_is_an_unknown_key_and_the_paper_preset_trains(self, capsys):
+        assert cli.main(["flops", "--set", "train.mixup=0.1"]) == cli.EXIT_CONFIG
+        assert "train.mixup" in capsys.readouterr().err
+        cfg = config.build({"train.preset": "paper-vit-small"})
+        assert cfg.train.batch_size == 288
         model = ViT(TINY, seed=0)
-        with pytest.raises(NotImplementedError, match="mixup"):
-            trainer.train(model, DropSchedule.none(), tiny_cfg(mixup=0.1),
-                          tiny_split())
+        small = dataclasses.replace(cfg.train, batch_size=8, epochs=1)
+        metrics = trainer.train(model, DropSchedule.none(), small, tiny_split())
+        assert len(metrics.epochs) == 1
 
     def test_invalid_schedule_is_rejected(self):
         model = ViT(TINY, seed=0)
