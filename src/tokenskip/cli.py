@@ -56,14 +56,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args) -> ExperimentConfig:
+def _items(args) -> dict:
+    """Config items from --config, then --set, --seed and --precision."""
     items = cfgmod.load_file(args.config) if args.config else {}
     items = cfgmod.apply_overrides(items, args.overrides)
     if args.seed is not None:
         items["seed"] = str(args.seed)
     if args.precision is not None:
         items["precision"] = str(args.precision)
-    return cfgmod.build(items)
+    return items
+
+
+def _resolve(args) -> ExperimentConfig:
+    return cfgmod.build(_items(args))
 
 
 def _prepare_out(cfg: ExperimentConfig, out) -> Path:
@@ -181,13 +186,7 @@ def cmd_flops(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    items = cfgmod.load_file(args.config) if args.config else {}
-    items = cfgmod.apply_overrides(items, args.overrides)
-    if args.seed is not None:
-        items["seed"] = str(args.seed)
-    if args.precision is not None:
-        items["precision"] = str(args.precision)
-    arms = cfgmod.sweep_arms(items)
+    arms = cfgmod.sweep_arms(_items(args))
     out = Path(args.out)
     rows = []
     for name, cfg in arms:

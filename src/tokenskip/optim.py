@@ -43,8 +43,9 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            if np.isnan(g).any():
-                raise FloatingPointError(f"NaN gradient in parameter {name!r}")
+            if not np.isfinite(g).all():
+                raise FloatingPointError(
+                    f"non-finite gradient in parameter {name!r}")
             # In place, with the roundings of
             #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
             #   p -= lr * (m / c1 / (sqrt(v / c2) + eps) + wd * p)

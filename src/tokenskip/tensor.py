@@ -221,8 +221,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading batch dims broadcast."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Matrix product over the last two axes; leading batch dims broadcast.
+
+    An optional bias (broadcast to the product's shape, the product's dtype
+    kept) is added into the product in place: the bits of
+    ``add(matmul(a, b), bias)`` from one output array and one graph node.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(
             f"matmul needs at least 2-d operands, got {list(a.shape)} and {list(b.shape)}"
@@ -237,6 +242,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
     else:
         out = np.matmul(a.data, b.data)
+    if bias is not None:
+        out += bias.data
     if _MAC_COUNTER is not None:
         batch = int(np.prod(out.shape[:-2], dtype=np.int64)) if out.ndim > 2 else 1
         _MAC_COUNTER.add(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
@@ -251,8 +258,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             _accumulate(a, _unbroadcast(ga, a.shape), own=True)
             _accumulate(b, _unbroadcast(gb, b.shape), own=True)
+        if bias is not None:
+            gbias = _unbroadcast(g, bias.shape)
+            _accumulate(bias, gbias, own=gbias is not g)
 
-    return _make(out, (a, b), backward)
+    return _make(out, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

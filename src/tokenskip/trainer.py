@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
+import resource
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -18,6 +20,10 @@ from .vit import ViT
 
 METRICS_FILE = "metrics.jsonl"
 TIMING_FILE = "timing.jsonl"
+
+# glibc mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,7 @@ class EpochRecord:
     samples_per_sec: float
     attn_tokens: list
     kept_patches: dict
+    minor_faults: int
 
     def metrics_dict(self) -> dict:
         # Deterministic fields only; timing lives in its own record.
@@ -87,6 +94,30 @@ class RunMetrics:
         return self.epochs[-1].train_top1
 
 
+def _keep_heap() -> None:
+    """Keep freed step memory in the process instead of returning it.
+
+    A process-wide allocator setting, made by the step loops (train,
+    evaluate, benchmark) on entry. Without it glibc serves each large array
+    from a fresh mmap or trims the heap top once a step's graph is freed,
+    and the next step faults the same pages back in. Arrays up to 32 MiB
+    now come from the heap and the heap is trimmed only above 1 GiB free.
+    Both values must be set: setting either alone freezes glibc's dynamic
+    mmap threshold at 128 KiB. A no-op where the C library has no mallopt;
+    setting it again is harmless.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _batches(n: int, batch_size: int, order: np.ndarray):
     for start in range(0, n - batch_size + 1, batch_size):
         yield order[start:start + batch_size]
@@ -99,9 +130,11 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
     """Deterministic training loop with epoch-gated token dropping.
 
     The current epoch is passed into the forward pass so drop warm-up is
-    epoch-driven. Timing excludes validation and checkpointing.
+    epoch-driven. Timing and the minor-fault count exclude validation and
+    checkpointing.
     """
     tokendrop.validate(schedule, model.config)
+    _keep_heap()
     opt = AdamW(model.params, cfg.learning_rate, cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     steps_per_epoch = max(1, len(train_split) // cfg.batch_size)
@@ -121,6 +154,7 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
         seen = 0
         epoch_diag = None
         elapsed = 0.0
+        faults = _minor_faults()
         for step, idx in enumerate(_batches(len(train_split), cfg.batch_size,
                                             order)):
             images = train_split.images[idx]
@@ -128,8 +162,9 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
             t0 = time.perf_counter()
             logits, diag = model.forward(images, schedule, epoch=epoch)
             loss = T.cross_entropy(logits, labels)
-            if np.isnan(loss.data):
-                raise RuntimeError(f"NaN loss at epoch {epoch} step {step}")
+            if not np.isfinite(loss.data):
+                raise RuntimeError(f"non-finite loss {float(loss.data)} at "
+                                   f"epoch {epoch} step {step}")
             opt.zero_grad()
             loss.backward()
             if cfg.lr_schedule == "constant":
@@ -158,6 +193,7 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
             if max_steps is not None and global_step >= max_steps:
                 done = True
                 break
+        faults = _minor_faults() - faults
 
         train_top1 = 100.0 * correct / max(seen, 1)
         val_top1 = None
@@ -172,6 +208,7 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
             samples_per_sec=seen / elapsed if elapsed > 0 else 0.0,
             attn_tokens=list(epoch_diag.attn_tokens) if epoch_diag else [],
             kept_patches=dict(epoch_diag.kept_patches) if epoch_diag else {},
+            minor_faults=faults,
         )
         metrics.epochs.append(record)
         if out_dir is not None:
@@ -179,7 +216,8 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
                 fh.write(json.dumps(record.metrics_dict(), sort_keys=True) + "\n")
             with open(out_dir / TIMING_FILE, "a") as fh:
                 fh.write(json.dumps({"epoch": epoch,
-                                     "samples_per_sec": record.samples_per_sec}) + "\n")
+                                     "samples_per_sec": record.samples_per_sec,
+                                     "minor_faults": record.minor_faults}) + "\n")
         if stop_at_train_top1 is not None and train_top1 >= stop_at_train_top1:
             done = True
         if done:
@@ -199,6 +237,7 @@ def evaluate(model: ViT, split: Split, schedule: Optional[DropSchedule] = None,
     """
     if schedule is None:
         schedule = DropSchedule.none()
+    _keep_heap()
     correct = 0
     n = len(split)
     with T.no_grad():
@@ -218,6 +257,7 @@ def benchmark(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
     The first ``discard`` steps warm caches and are excluded.
     """
     tokendrop.validate(schedule, model.config)
+    _keep_heap()
     c = model.config
     if data is None:
         rng = np.random.default_rng(cfg.seed)

@@ -167,7 +167,7 @@ class ViT:
         x = T.reshape(images, (b, ch, g, p, g, p))
         x = T.permute(x, (0, 2, 4, 1, 3, 5))
         x = T.reshape(x, (b, g * g, ch * p * p))
-        tok = T.add(T.matmul(x, self.params["patch.w"]), self.params["patch.b"])
+        tok = T.matmul(x, self.params["patch.w"], self.params["patch.b"])
         cls = T.repeat_batch(self.params["cls"], b)
         tokens = T.concat([cls, tok], axis=1)
         tokens = T.add(tokens, self.params["pos"])
@@ -183,8 +183,8 @@ class ViT:
         h = T.layernorm(x, self.params[pre + "ln1.g"], self.params[pre + "ln1.b"])
 
         def proj(name, bias):
-            out = T.add(T.matmul(h, self.params[pre + "attn." + name]),
-                        self.params[pre + "attn." + bias])
+            out = T.matmul(h, self.params[pre + "attn." + name],
+                           self.params[pre + "attn." + bias])
             out = T.reshape(out, (b, n, c.heads, c.head_dim))
             return T.permute(out, (0, 2, 1, 3))
 
@@ -196,8 +196,8 @@ class ViT:
         scores = T.softmax(logits, axis=-1)
         ctx = T.matmul(scores, v)
         ctx = T.reshape(T.permute(ctx, (0, 2, 1, 3)), (b, n, d))
-        out = T.add(T.matmul(ctx, self.params[pre + "attn.wo"]),
-                    self.params[pre + "attn.bo"])
+        out = T.matmul(ctx, self.params[pre + "attn.wo"],
+                       self.params[pre + "attn.bo"])
         res = T.add(x, out)
         return (TokenBatch(res, tokens.positions, layer),
                 AttentionRecord(scores, layer))
@@ -206,9 +206,9 @@ class ViT:
         pre = f"blocks.{layer}."
         x = tokens.embeddings
         h = T.layernorm(x, self.params[pre + "ln2.g"], self.params[pre + "ln2.b"])
-        h = T.add(T.matmul(h, self.params[pre + "ffn.w1"]), self.params[pre + "ffn.b1"])
+        h = T.matmul(h, self.params[pre + "ffn.w1"], self.params[pre + "ffn.b1"])
         h = T.gelu(h)
-        h = T.add(T.matmul(h, self.params[pre + "ffn.w2"]), self.params[pre + "ffn.b2"])
+        h = T.matmul(h, self.params[pre + "ffn.w2"], self.params[pre + "ffn.b2"])
         return TokenBatch(T.add(x, h), tokens.positions, layer)
 
     def classify(self, tokens: TokenBatch) -> Tensor:
@@ -220,7 +220,7 @@ class ViT:
         cls = T.gather_rows(tokens.embeddings, np.zeros((b, 1), dtype=np.int64))
         cls = T.reshape(cls, (b, d))
         h = T.layernorm(cls, self.params["ln_f.g"], self.params["ln_f.b"])
-        return T.add(T.matmul(h, self.params["head.w"]), self.params["head.b"])
+        return T.matmul(h, self.params["head.w"], self.params["head.b"])
 
     def forward(self, images, schedule=None, epoch: int = 0,
                 collect_records: bool = False):

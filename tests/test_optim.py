@@ -76,6 +76,16 @@ class TestAdamW:
         with pytest.raises(FloatingPointError, match="blocks.0.ffn.w1"):
             opt.step()
 
+    def test_inf_gradient_fails_before_the_update(self):
+        p = _param([1.0, 1.0, 1.0])
+        p.grad = np.array([1.0, np.inf, 1.0])
+        opt = AdamW({"blocks.0.ffn.w1": p}, 1e-3)
+        with pytest.raises(FloatingPointError,
+                           match="non-finite gradient in parameter "
+                                 "'blocks.0.ffn.w1'"):
+            opt.step()
+        np.testing.assert_array_equal(p.data, [1.0, 1.0, 1.0])
+
     def test_explicit_lr_overrides_default(self):
         p = _param([0.0])
         p.grad = np.array([1.0])

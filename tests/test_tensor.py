@@ -176,6 +176,9 @@ DIFF_OPS = [
     ("matmul", lambda a, b: T.matmul(a, b), [(3, 4), (4, 2)]),
     ("matmul_batched", lambda a, b: T.matmul(a, b), [(2, 3, 4), (2, 4, 2)]),
     ("matmul_weight", lambda a, b: T.matmul(a, b), [(2, 3, 4), (4, 2)]),
+    ("matmul_bias", lambda a, b, c: T.matmul(a, b, c), [(3, 4), (4, 2), (2,)]),
+    ("matmul_weight_bias", lambda a, b, c: T.matmul(a, b, c),
+     [(2, 3, 4), (4, 2), (2,)]),
     ("add", lambda a, b: T.add(a, b), [(3, 4), (3, 4)]),
     ("add_bias", lambda a, b: T.add(a, b), [(2, 3, 4), (4,)]),
     ("mul", lambda a, b: T.mul(a, b), [(3, 4), (3, 4)]),
@@ -312,6 +315,33 @@ def test_layernorm_matches_textbook_formula_bitwise(dtype, seed):
         assert np.array_equal(xt.grad, ref_gx), shape
         assert np.array_equal(gt.grad, ref_gain), shape
         assert np.array_equal(bt.grad, ref_bias), shape
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(5, 12), (3, 7, 12)])
+def test_matmul_bias_matches_add_of_matmul_bitwise(dtype, shape):
+    rng = np.random.default_rng(9)
+    x, w, b = (rng.normal(size=s).astype(dtype) for s in [shape, (12, 6), (6,)])
+    g = rng.normal(size=shape[:-1] + (6,)).astype(dtype)
+    runs = []
+    for fold in (True, False):
+        xt, wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+        out = (T.matmul(xt, wt, bt) if fold
+               else T.add(T.matmul(xt, wt), bt))
+        _grads_under(out, g)
+        runs.append((out.data, xt.grad, wt.grad, bt.grad))
+    for name, folded, plain in zip(("out", "x", "w", "bias"), *runs):
+        assert folded.dtype == dtype, name
+        assert np.array_equal(folded, plain), name
+
+
+def test_matmul_bias_is_one_node_with_three_parents():
+    a, w, b = (Tensor(np.ones(s), requires_grad=True)
+               for s in [(2, 3), (3, 4), (4,)])
+    out = T.matmul(a, w, b)
+    assert out._parents == (a, w, b)
+    assert len(T.ComputeTape(T.tensor_sum(out)).nodes) == 5
+    np.testing.assert_array_equal(out.data, np.full((2, 4), 4.0))
 
 
 def test_add_and_mul_of_one_tensor_with_itself():

@@ -2,6 +2,12 @@
 
 import dataclasses
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,10 +45,25 @@ class TestTrain:
         assert len(lines) == 2
         rec = json.loads(lines[0])
         assert rec["epoch"] == 0
-        assert "samples_per_sec" not in rec
+        assert "samples_per_sec" not in rec and "minor_faults" not in rec
         timing = (tmp_path / "timing.jsonl").read_text().splitlines()
-        assert json.loads(timing[0])["samples_per_sec"] > 0
+        row = json.loads(timing[0])
+        assert set(row) == {"epoch", "samples_per_sec", "minor_faults"}
+        assert row["samples_per_sec"] > 0
+        assert isinstance(row["minor_faults"], int) and row["minor_faults"] >= 0
         assert (tmp_path / "model.ckpt").exists()
+
+    def test_infinite_loss_fails_at_its_step(self):
+        model = ViT(TINY, seed=1)
+        # Logits of +-3e38 overflow float32 in the cross-entropy: the loss
+        # is +inf, not NaN, for any batch holding a label other than 0.
+        model.params["head.b"].data[:] = -3e38
+        model.params["head.b"].data[0] = 3e38
+        split = tiny_split()
+        split.labels[:] = 1
+        with np.errstate(over="ignore"), pytest.raises(
+                RuntimeError, match="non-finite loss inf at epoch 0 step 0"):
+            trainer.train(model, DropSchedule.none(), tiny_cfg(), split)
 
     def test_same_seed_metrics_are_byte_identical(self, tmp_path):
         out = []
@@ -134,3 +155,53 @@ class TestBenchmark:
                           batches=2, discard=1)
         for k, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[k])
+
+
+# Fresh process: warm evaluate, measure it, then warm train and measure it,
+# all on the desk model at batch 8. Prints mean minor faults per call.
+_FAULT_PROBE = textwrap.dedent("""
+    import resource
+    from tokenskip import config, data, trainer
+    from tokenskip.vit import ViT
+
+    cfg = config.build({"model.preset": "desk", "train.batch_size": "8",
+                        "train.epochs": "1"})
+    split = data.synthetic(0, 8, classes=10, image_size=32)
+    model = ViT(cfg.model, seed=0)
+
+    def faults(call, calls):
+        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(calls):
+            call()
+        return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                - start) / calls
+
+    def ev():
+        trainer.evaluate(model, split, cfg.schedule, batch_size=8)
+
+    def tr():
+        trainer.train(model, cfg.schedule, cfg.train, split)
+
+    faults(ev, 2)
+    evaluate = faults(ev, 5)
+    faults(tr, 2)
+    print(evaluate, faults(tr, 5))
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="glibc allocator behaviour")
+def test_steady_steps_fault_no_pages_in():
+    # Without the allocator setting a step re-faults its working set:
+    # thousands of faults per call at this size.
+    src = str(Path(trainer.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    evaluate, train = map(float, proc.stdout.split())
+    assert evaluate < 200, f"{evaluate} minor faults per evaluate call"
+    assert train < 200, f"{train} minor faults per train call"
