@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ctypes
 import json
-import resource
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -103,18 +102,29 @@ def _keep_heap() -> None:
     and the next step faults the same pages back in. Arrays up to 32 MiB
     now come from the heap and the heap is trimmed only above 1 GiB free.
     Both values must be set: setting either alone freezes glibc's dynamic
-    mmap threshold at 128 KiB. A no-op where the C library has no mallopt;
-    setting it again is harmless.
+    mmap threshold at 128 KiB. So the trim threshold is set only once the
+    mmap threshold is accepted (a 32-bit glibc rejects 32 MiB and keeps its
+    default behaviour). A no-op where the C library cannot be loaded or has
+    no mallopt; setting it again is harmless.
     """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        mallopt.restype = ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):
+        return
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
         mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def _minor_faults() -> int:
+    """The process's minor page faults so far; 0 where getrusage is missing."""
+    try:
+        import resource
+    except ImportError:
+        return 0
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 

@@ -205,3 +205,37 @@ def test_steady_steps_fault_no_pages_in():
     evaluate, train = map(float, proc.stdout.split())
     assert evaluate < 200, f"{evaluate} minor faults per evaluate call"
     assert train < 200, f"{train} minor faults per train call"
+
+
+class _FakeLibc:
+    def __init__(self, accepts):
+        self.calls = []
+        self.accepts = accepts
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1 if (param, value) in self.accepts else 0
+        self.mallopt = mallopt
+
+
+def test_keep_heap_sets_the_trim_threshold_only_after_the_mmap_threshold():
+    # A 32-bit glibc rejects a 32 MiB mmap threshold; setting the trim
+    # threshold alone would freeze the dynamic mmap threshold at 128 KiB.
+    mmap_32m = (trainer._M_MMAP_THRESHOLD, 32 << 20)
+    for accepts, calls in (({mmap_32m}, 2), (set(), 1)):
+        libc = _FakeLibc(accepts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer.ctypes, "CDLL", lambda name: libc)
+            trainer._keep_heap()
+        assert libc.calls[0] == mmap_32m
+        assert len(libc.calls) == calls
+
+
+@pytest.mark.parametrize("error", [OSError, TypeError])
+def test_keep_heap_is_a_no_op_without_a_loadable_c_library(monkeypatch, error):
+    def cdll(name):
+        raise error("no C library")
+    monkeypatch.setattr(trainer.ctypes, "CDLL", cdll)
+    trainer._keep_heap()
+    monkeypatch.setattr(trainer.ctypes, "CDLL", lambda name: object())
+    trainer._keep_heap()
