@@ -101,7 +101,7 @@ def _run_experiment(cfg: ExperimentConfig, out: Path) -> dict:
         model = ViT(cfg.model, seed=cfg.seed)
         metrics = trainer.train(model, cfg.schedule, cfg.train, train_split,
                                 val_split, out_dir=out)
-        rate = trainer.benchmark(model, cfg.schedule, cfg.train)
+        speed = trainer.benchmark(model, cfg.schedule, cfg.train)
     cost = flops.estimate_flops(cfg.model, cfg.schedule)
     row = {
         "schedule": _schedule_label(cfg.schedule),
@@ -109,7 +109,8 @@ def _run_experiment(cfg: ExperimentConfig, out: Path) -> dict:
         "drop_ratios": [r for _, r in cfg.schedule.stages],
         "skip_target": cfg.schedule.skip_target,
         "mode": cfg.schedule.mode,
-        "samples_per_sec": rate,
+        "samples_per_sec": speed.samples_per_sec,
+        "measured_saving": speed.saving,
         "top1": metrics.final_val_top1,
         "train_top1": metrics.final_train_top1,
         "predicted_mac_saving": cost.saving_fraction,
@@ -123,7 +124,8 @@ def cmd_train(args) -> int:
     out = _prepare_out(cfg, args.out)
     row = _run_experiment(cfg, out)
     print(f"final val top-1: {row['top1']:.2f}%  "
-          f"({row['samples_per_sec']:.1f} samples/sec)")
+          f"({row['samples_per_sec']:.1f} samples/sec, measured saving "
+          f"{row['measured_saving']:.3f})")
     return EXIT_OK
 
 
@@ -156,13 +158,17 @@ def cmd_bench(args) -> int:
     cfg = _resolve(args)
     with T.precision(cfg.precision):
         model = ViT(cfg.model, seed=cfg.seed)
-        rate = trainer.benchmark(model, cfg.schedule, cfg.train)
+        speed = trainer.benchmark(model, cfg.schedule, cfg.train)
+    predicted = flops.estimate_flops(cfg.model, cfg.schedule).saving_fraction
     if args.out:
         out = _prepare_out(cfg, args.out)
         (out / RESULT_FILE).write_text(json.dumps(
             {"schedule": _schedule_label(cfg.schedule),
-             "samples_per_sec": rate}, indent=2) + "\n")
-    print(f"{rate:.1f} samples/sec ({_schedule_label(cfg.schedule)})")
+             "samples_per_sec": speed.samples_per_sec,
+             "measured_saving": speed.saving}, indent=2) + "\n")
+    print(f"{speed.samples_per_sec:.1f} samples/sec "
+          f"({_schedule_label(cfg.schedule)}); saving vs dense: measured "
+          f"{speed.saving:.3f}, predicted MAC {predicted:.3f}")
     return EXIT_OK
 
 
@@ -234,10 +240,12 @@ def format_report(rows: list) -> str:
                 None)
     if base is None:
         raise ValueError("no baseline row (schedule mode none) among results")
-    header = ["schedule", "samples/sec", "top-1(%)", "MAC saving"]
+    header = ["schedule", "samples/sec", "top-1(%)", "MAC saving",
+              "measured saving"]
     table = [header]
     for row in rows:
         top1 = row.get("top1")
+        measured = row.get("measured_saving")
         table.append([
             row["schedule"],
             _with_delta(row["samples_per_sec"], base["samples_per_sec"],
@@ -245,6 +253,7 @@ def format_report(rows: list) -> str:
             "-" if top1 is None else _with_delta(top1, base["top1"], 2,
                                                  percent=False),
             f"{row.get('predicted_mac_saving', 0.0):.4f}",
+            "-" if measured is None else f"{measured:.4f}",
         ])
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     lines = ["compute unit: MACs (multiply-accumulates)"]

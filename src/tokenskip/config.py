@@ -193,7 +193,7 @@ def build(items: dict[str, str]) -> ExperimentConfig:
                              _DATASET_FIELDS)
     seed = _coerce("seed", items.get("seed", "0"), int)
     precision = _coerce("precision", items.get("precision", "32"), int)
-    train = dataclasses.replace(train, seed=seed, precision=precision)
+    train = dataclasses.replace(train, seed=seed)
     return ExperimentConfig(model=model, schedule=_build_schedule(items),
                             train=train, dataset=dataset, seed=seed,
                             precision=precision).validated()

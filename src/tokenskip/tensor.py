@@ -467,8 +467,8 @@ def gelu(t: Tensor) -> Tensor:
     return _make(out, (t,), backward)
 
 
-def _row_index(idx: np.ndarray, rows: int, batch: Optional[int]):
-    """Validate and normalize a row-index list for gather/scatter."""
+def _row_index(idx, rows: int) -> np.ndarray:
+    """Validate an index array against an axis of ``rows`` entries."""
     idx = np.asarray(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
@@ -476,46 +476,35 @@ def _row_index(idx: np.ndarray, rows: int, batch: Optional[int]):
     return idx
 
 
+def _batch_rows(t: Tensor, idx):
+    """Per-sample row index of a [B, N, D] tensor: (batch range, [B, k] idx)."""
+    if t.ndim != 3:
+        raise ValueError(f"expected a [B, N, D] tensor, got {list(t.shape)}")
+    b, n, _ = t.shape
+    idx = _row_index(idx, n)
+    if idx.ndim == 1:
+        idx = np.broadcast_to(idx, (b, idx.shape[0]))
+    return np.arange(b)[:, None], idx
+
+
 def gather_rows(t: Tensor, idx) -> Tensor:
-    """Select rows by index.
+    """Select rows per sample: [B, N, D] with idx [k] or [B, k] -> [B, k, D]."""
+    brange, idx = _batch_rows(t, idx)
+    out = t.data[brange, idx]
+    # np.add.at is slow; rows unique within each sample allow plain fancy
+    # assignment into the zero accumulator.
+    srt = np.sort(idx, axis=1)
+    unique = bool((np.diff(srt, axis=1) > 0).all())
 
-    2-d input [N, D] with idx [k] -> [k, D]. 3-d input [B, N, D] with idx of
-    shape [k] or [B, k] (per-sample selection) -> [B, k, D].
-    """
-    if t.ndim == 2:
-        idx = _row_index(idx, t.shape[0], None)
-        out = t.data[idx]
+    def backward(g):
+        acc = np.zeros_like(t.data)
+        if unique:
+            acc[brange, idx] = g
+        else:
+            np.add.at(acc, (brange, idx), g)
+        _accumulate(t, acc, own=True)
 
-        def backward(g):
-            acc = np.zeros_like(t.data)
-            np.add.at(acc, idx, g)
-            _accumulate(t, acc, own=True)
-
-        return _make(out, (t,), backward)
-
-    if t.ndim == 3:
-        b, n, _ = t.shape
-        idx = _row_index(idx, n, b)
-        if idx.ndim == 1:
-            idx = np.broadcast_to(idx, (b, idx.shape[0]))
-        brange = np.arange(b)[:, None]
-        out = t.data[brange, idx]
-        # np.add.at is slow; rows unique within each sample allow plain fancy
-        # assignment into the zero accumulator.
-        srt = np.sort(idx, axis=1)
-        unique = bool((np.diff(srt, axis=1) > 0).all())
-
-        def backward(g):
-            acc = np.zeros_like(t.data)
-            if unique:
-                acc[brange, idx] = g
-            else:
-                np.add.at(acc, (brange, idx), g)
-            _accumulate(t, acc, own=True)
-
-        return _make(out, (t,), backward)
-
-    raise ValueError(f"gather_rows expects 2-d or 3-d input, got {list(t.shape)}")
+    return _make(out, (t,), backward)
 
 
 def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
@@ -524,46 +513,22 @@ def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
     Gradients flow through the scattered rows; base positions that were
     overwritten receive no gradient. Index shapes mirror gather_rows.
     """
-    if base.ndim == 2:
-        idx = _row_index(idx, base.shape[0], None)
-        out = base.data.copy()
-        out[idx] = rows.data
+    brange, idx = _batch_rows(base, idx)
+    out = base.data.copy()
+    out[brange, idx] = rows.data
 
-        def backward(g):
-            gb = g.copy()
-            gb[idx] = 0.0
-            _accumulate(base, gb, own=True)
-            _accumulate(rows, g[idx], own=True)
+    def backward(g):
+        gb = g.copy()
+        gb[brange, idx] = 0.0
+        _accumulate(base, gb, own=True)
+        _accumulate(rows, g[brange, idx], own=True)
 
-        return _make(out, (base, rows), backward)
-
-    if base.ndim == 3:
-        b, n, _ = base.shape
-        idx = _row_index(idx, n, b)
-        if idx.ndim == 1:
-            idx = np.broadcast_to(idx, (b, idx.shape[0]))
-        brange = np.arange(b)[:, None]
-        out = base.data.copy()
-        out[brange, idx] = rows.data
-
-        def backward(g):
-            gb = g.copy()
-            gb[brange, idx] = 0.0
-            _accumulate(base, gb, own=True)
-            _accumulate(rows, g[brange, idx], own=True)
-
-        return _make(out, (base, rows), backward)
-
-    raise ValueError(f"scatter_rows expects 2-d or 3-d base, got {list(base.shape)}")
+    return _make(out, (base, rows), backward)
 
 
 def take(t: Tensor, idx, axis: int) -> Tensor:
     """Index one axis by a list of positions (gradient scatter-adds back)."""
-    idx = np.asarray(idx)
-    n = t.shape[axis]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
-        raise IndexError(f"index {bad} out of range for axis {axis} of size {n}")
+    idx = _row_index(idx, t.shape[axis])
     out = np.take(t.data, idx, axis=axis)
     unique = idx.ndim == 1 and np.unique(idx).size == idx.size
 

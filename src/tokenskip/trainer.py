@@ -24,6 +24,8 @@ TIMING_FILE = "timing.jsonl"
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
+_BENCHMARK_PAIRS = 14  # timed dense/schedule pairs
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -35,7 +37,6 @@ class TrainConfig:
     lr_warmup_epochs: int = 1
     lr_schedule: str = "cosine"  # cosine | constant
     seed: int = 0
-    precision: int = 32
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -128,9 +129,20 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n - batch_size + 1, batch_size):
-        yield order[start:start + batch_size]
+def _train_step(model: ViT, schedule: DropSchedule, opt: AdamW,
+                images: np.ndarray, labels: np.ndarray, epoch: int, step: int,
+                lr: float):
+    """Forward, loss, backward and AdamW update; returns (loss, logits, diag)."""
+    logits, diag = model.forward(images, schedule, epoch=epoch)
+    loss = T.cross_entropy(logits, labels)
+    if not np.isfinite(loss.data):
+        raise RuntimeError(f"non-finite loss {float(loss.data)} at "
+                           f"epoch {epoch} step {step}")
+    opt.zero_grad()
+    loss.backward()
+    opt.step(lr)
+    # A float and an array hold no graph: this step's is freed on return.
+    return float(loss.data), logits.data, diag
 
 
 def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
@@ -144,10 +156,13 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
     checkpointing.
     """
     tokendrop.validate(schedule, model.config)
+    steps_per_epoch = len(train_split) // cfg.batch_size
+    if steps_per_epoch == 0:
+        raise ValueError(f"train split of {len(train_split)} samples holds no "
+                         f"full batch of {cfg.batch_size}")
     _keep_heap()
     opt = AdamW(model.params, cfg.learning_rate, cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
-    steps_per_epoch = max(1, len(train_split) // cfg.batch_size)
     metrics = RunMetrics()
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -165,18 +180,10 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
         epoch_diag = None
         elapsed = 0.0
         faults = _minor_faults()
-        for step, idx in enumerate(_batches(len(train_split), cfg.batch_size,
-                                            order)):
+        for step in range(steps_per_epoch):
+            idx = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             images = train_split.images[idx]
             labels = train_split.labels[idx]
-            t0 = time.perf_counter()
-            logits, diag = model.forward(images, schedule, epoch=epoch)
-            loss = T.cross_entropy(logits, labels)
-            if not np.isfinite(loss.data):
-                raise RuntimeError(f"non-finite loss {float(loss.data)} at "
-                                   f"epoch {epoch} step {step}")
-            opt.zero_grad()
-            loss.backward()
             if cfg.lr_schedule == "constant":
                 lr = cfg.learning_rate
             else:
@@ -185,12 +192,14 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
                            warmup_lr=cfg.warmup_lr,
                            lr_warmup_epochs=cfg.lr_warmup_epochs,
                            epochs=cfg.epochs)
-            opt.step(lr)
+            t0 = time.perf_counter()
+            loss, logits, diag = _train_step(model, schedule, opt, images,
+                                             labels, epoch, step, lr)
             elapsed += time.perf_counter() - t0
 
-            losses.append(float(loss.data))
-            metrics.step_losses.append(float(loss.data))
-            correct += int((logits.data.argmax(axis=1) == labels).sum())
+            losses.append(loss)
+            metrics.step_losses.append(loss)
+            correct += int((logits.argmax(axis=1) == labels).sum())
             seen += len(idx)
             if epoch_diag is None:
                 epoch_diag = diag
@@ -205,19 +214,19 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
                 break
         faults = _minor_faults() - faults
 
-        train_top1 = 100.0 * correct / max(seen, 1)
+        train_top1 = 100.0 * correct / seen
         val_top1 = None
         if val_split is not None:
             val_top1 = evaluate(model, val_split, schedule, epoch=epoch,
                                 batch_size=cfg.batch_size)
         record = EpochRecord(
             epoch=epoch,
-            train_loss=float(np.mean(losses)) if losses else float("nan"),
+            train_loss=float(np.mean(losses)),
             train_top1=train_top1,
             val_top1=val_top1,
             samples_per_sec=seen / elapsed if elapsed > 0 else 0.0,
-            attn_tokens=list(epoch_diag.attn_tokens) if epoch_diag else [],
-            kept_patches=dict(epoch_diag.kept_patches) if epoch_diag else {},
+            attn_tokens=list(epoch_diag.attn_tokens),
+            kept_patches=dict(epoch_diag.kept_patches),
             minor_faults=faults,
         )
         metrics.epochs.append(record)
@@ -245,11 +254,13 @@ def evaluate(model: ViT, split: Split, schedule: Optional[DropSchedule] = None,
     By default the drop schedule stays active (epoch past warm-up), matching
     the training-time topology; pass schedule=None for plain evaluation.
     """
+    n = len(split)
+    if n == 0:
+        raise ValueError("cannot evaluate an empty split")
     if schedule is None:
         schedule = DropSchedule.none()
     _keep_heap()
     correct = 0
-    n = len(split)
     with T.no_grad():
         for start in range(0, n, batch_size):
             images = split.images[start:start + batch_size]
@@ -259,34 +270,43 @@ def evaluate(model: ViT, split: Split, schedule: Optional[DropSchedule] = None,
     return 100.0 * correct / n
 
 
-def benchmark(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
-              batches: int = 10, discard: int = 3,
-              data: Optional[Split] = None) -> float:
-    """Median samples/sec over full train steps (forward + backward + update).
+@dataclass(frozen=True)
+class Throughput:
+    samples_per_sec: float        # the schedule arm
+    dense_samples_per_sec: float
+    saving: float                 # median per-pair step-time reduction
 
-    The first ``discard`` steps warm caches and are excluded.
+
+def benchmark(model: ViT, schedule: DropSchedule,
+              cfg: TrainConfig) -> Throughput:
+    """Paired train-step throughput of a schedule against the dense model.
+
+    The wall clock drifts by large factors on minute timescales, so
+    single-arm rates taken apart are not comparable. After a warm-up step
+    per arm, dense and schedule steps run as adjacent pairs in seeded random
+    order; the saving is the median per-pair ``1 - t_schedule / t_dense``,
+    which cancels drift. Each rate is the batch over its arm's median step
+    time. Steps run at learning rate 0, so all see the same weights.
     """
     tokendrop.validate(schedule, model.config)
     _keep_heap()
     c = model.config
-    if data is None:
-        rng = np.random.default_rng(cfg.seed)
-        images = rng.normal(size=(cfg.batch_size, c.channels, c.image_size,
-                                  c.image_size)).astype(np.float32)
-        labels = rng.integers(0, c.num_classes, size=cfg.batch_size)
-    else:
-        images = data.images[:cfg.batch_size]
-        labels = data.labels[:cfg.batch_size]
-    opt = AdamW(model.params, cfg.learning_rate, weight_decay=0.0)
-    times = []
-    for i in range(discard + batches):
+    rng = np.random.default_rng(cfg.seed)
+    images = rng.normal(size=(cfg.batch_size, c.channels, c.image_size,
+                              c.image_size)).astype(np.float32)
+    labels = rng.integers(0, c.num_classes, size=cfg.batch_size)
+    opt = AdamW(model.params, 0.0)
+    arms = (DropSchedule.none(), schedule)
+    order = [0, 1]  # one warm-up step per arm
+    for _ in range(_BENCHMARK_PAIRS):
+        order += (0, 1) if rng.integers(2) == 0 else (1, 0)
+    times = np.empty(len(order))
+    for step, arm in enumerate(order):
         t0 = time.perf_counter()
-        logits, _ = model.forward(images, schedule, epoch=10 ** 9)
-        loss = T.cross_entropy(logits, labels)
-        opt.zero_grad()
-        loss.backward()
-        opt.step(0.0)  # keep weights fixed so every timed step sees same model
-        dt = time.perf_counter() - t0
-        if i >= discard:
-            times.append(dt)
-    return cfg.batch_size / float(np.median(times))
+        _train_step(model, arms[arm], opt, images, labels, 10 ** 9, step, 0.0)
+        times[step] = time.perf_counter() - t0
+    order, times = np.array(order[2:]), times[2:]
+    dense, dropped = times[order == 0], times[order == 1]
+    return Throughput(cfg.batch_size / float(np.median(dropped)),
+                      cfg.batch_size / float(np.median(dense)),
+                      float(np.median(1.0 - dropped / dense)))

@@ -39,6 +39,19 @@ class TestExitCodes:
                            "--set", "dataset.source=cifar10", *TINY)
         assert code == cli.EXIT_RUNTIME
 
+    @pytest.mark.parametrize("split", [
+        ["--set", "dataset.val_n=0"],
+        ["--set", "dataset.train_n=2", "--set", "train.batch_size=4"]],
+        ids=["empty_val", "train_below_one_batch"])
+    def test_unusable_split_is_exit_1(self, capsys, tmp_path, split):
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "train", "--out", str(out_dir), *TINY,
+                             *split)
+        assert code == cli.EXIT_CONFIG
+        assert "top-1" not in out and "split" in err
+        metrics = out_dir / "metrics.jsonl"
+        assert not metrics.exists() or metrics.read_text() == ""
+
     def test_missing_checkpoint_is_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--checkpoint",
                            str(tmp_path / "nope.ckpt"), *TINY)
@@ -102,8 +115,9 @@ class TestTrainEvalBench:
     def test_bench_prints_rate(self, capsys, tmp_path):
         code, out, _ = run(capsys, "bench", "--out", str(tmp_path), *TINY)
         assert code == 0
-        assert "samples/sec" in out
-        assert (tmp_path / "result.json").exists()
+        assert "samples/sec" in out and "measured" in out
+        row = json.loads((tmp_path / "result.json").read_text())
+        assert "measured_saving" in row
 
 
 class TestSweepAndReport:
@@ -158,11 +172,16 @@ class TestReportFormatting:
              "predicted_mac_saving": 0.0},
             {"schedule": "skip 55%@6->11", "mode": "skip",
              "samples_per_sec": 5098.0, "top1": 70.16,
-             "predicted_mac_saving": 0.25},
+             "predicted_mac_saving": 0.25, "measured_saving": 0.1234},
         ]
         table = cli.format_report(rows)
         assert "5,098(+13.14%)" in table
         assert "70.16(+1.25)" in table
+        # The baseline row has no measured saving, as in older result files.
+        header, _, base, skip = table.splitlines()[1:]
+        assert header.endswith("MAC saving  measured saving")
+        assert base.split()[-2:] == ["0.0000", "-"]
+        assert skip.split()[-2:] == ["0.2500", "0.1234"]
 
     def test_baseline_only(self):
         rows = [{"schedule": "baseline", "mode": "none",

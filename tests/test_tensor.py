@@ -90,12 +90,13 @@ def test_gelu_zero():
 
 def test_gather_scatter_roundtrip():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(6, 3))
-    idx = [4, 1, 5]
+    x = rng.normal(size=(2, 6, 3))
+    idx = np.array([[4, 1, 5], [0, 2, 4]])
     rows = T.gather_rows(Tensor(x), idx)
-    out = T.scatter_rows(Tensor(np.zeros((6, 3))), idx, rows)
-    np.testing.assert_array_equal(out.data[idx], x[idx])
-    assert (out.data[[0, 2, 3]] == 0).all()
+    out = T.scatter_rows(Tensor(np.zeros((2, 6, 3))), idx, rows)
+    picked = np.zeros((2, 6), dtype=bool)
+    picked[[[0], [1]], idx] = True
+    np.testing.assert_array_equal(out.data, np.where(picked[..., None], x, 0.0))
 
 
 def test_gather_scatter_permutation_identity():
@@ -109,17 +110,18 @@ def test_gather_scatter_permutation_identity():
 
 def test_gather_out_of_range_index():
     with pytest.raises(IndexError, match="7"):
-        T.gather_rows(Tensor(np.zeros((4, 2))), [0, 7])
+        T.gather_rows(Tensor(np.zeros((2, 4, 2))), [[0, 1], [0, 7]])
 
 
 def test_scatter_gradient_only_through_scattered_rows():
-    base = Tensor(np.ones((4, 2)), requires_grad=True)
-    rows = Tensor(np.ones((2, 2)), requires_grad=True)
-    out = T.scatter_rows(base, [1, 3], rows)
+    base = Tensor(np.ones((2, 4, 2)), requires_grad=True)
+    rows = Tensor(np.ones((2, 2, 2)), requires_grad=True)
+    out = T.scatter_rows(base, [[1, 3], [0, 3]], rows)
     T.tensor_sum(out).backward()
-    np.testing.assert_array_equal(rows.grad, np.ones((2, 2)))
-    expected = np.ones((4, 2))
-    expected[[1, 3]] = 0.0
+    np.testing.assert_array_equal(rows.grad, np.ones((2, 2, 2)))
+    expected = np.ones((2, 4, 2))
+    expected[0, [1, 3]] = 0.0
+    expected[1, [0, 3]] = 0.0
     np.testing.assert_array_equal(base.grad, expected)
 
 
@@ -191,11 +193,12 @@ DIFF_OPS = [
     ("softmax", lambda a: T.mul(T.softmax(a, axis=-1), a), [(3, 5)]),
     ("layernorm", lambda a, g, b: T.mul(T.layernorm(a, g, b), a), [(3, 5), (5,), (5,)]),
     ("gelu", lambda a: T.mul(T.gelu(a), a), [(3, 4)]),
-    ("gather", lambda a: T.mul(T.gather_rows(a, [3, 0, 1]), Tensor(np.arange(9.0).reshape(3, 3))),
-     [(5, 3)]),
+    ("gather", lambda a: T.mul(T.gather_rows(a, [[3, 0, 1], [4, 2, 0]]),
+                               Tensor(np.arange(18.0).reshape(2, 3, 3))),
+     [(2, 5, 3)]),
     ("scatter", lambda base, rows: T.mul(
-        T.scatter_rows(base, [1, 3], rows),
-        Tensor(np.arange(10.0).reshape(5, 2))), [(5, 2), (2, 2)]),
+        T.scatter_rows(base, [[1, 3], [4, 0]], rows),
+        Tensor(np.arange(20.0).reshape(2, 5, 2))), [(2, 5, 2), (2, 2, 2)]),
     ("take", lambda a: T.mul(T.take(a, [0, 2], axis=1), T.take(a, [1, 3], axis=1)),
      [(2, 4, 3)]),
     ("concat", lambda a, b: T.mul(T.concat([a, b], axis=1), T.concat([b, a], axis=1)),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenskip import tensor as T
@@ -380,6 +380,7 @@ def test_two_stage_partition_and_roundtrip(case, ratio2):
 
 
 @given(drop_case(), st.integers(min_value=-8, max_value=8))
+@example(case=(2, 1, np.array([[0.0, 5e-324]]), 0.5), log2_scale=-1)
 @settings(max_examples=200, deadline=None)
 def test_selection_invariant_under_positive_scaling(case, log2_scale):
     n, batch, scores, ratio = case
@@ -389,8 +390,12 @@ def test_selection_invariant_under_positive_scaling(case, log2_scale):
     scaled = scores * float(2.0 ** log2_scale)
     keep_b, drop_b = td.select_topk(td.ImportanceVector(Tensor(scaled), 0),
                                     ratio, positions)
-    np.testing.assert_array_equal(keep_a, keep_b)
-    np.testing.assert_array_equal(drop_a, drop_b)
+    # Scaled down, a subnormal can round onto a neighbour; the new tie breaks
+    # toward the lower position, so only a scaling that adds no tie must agree.
+    if all(np.unique(a).size == np.unique(b).size
+           for a, b in zip(scores, scaled)):
+        np.testing.assert_array_equal(keep_a, keep_b)
+        np.testing.assert_array_equal(drop_a, drop_b)
 
 
 @given(drop_case())

@@ -144,17 +144,27 @@ class TestEvaluate:
 class TestBenchmark:
     def test_returns_positive_rate(self):
         model = ViT(TINY, seed=0)
-        rate = trainer.benchmark(model, DropSchedule.none(),
-                                 tiny_cfg(batch_size=4), batches=3, discard=1)
-        assert rate > 0
+        speed = trainer.benchmark(model, DropSchedule.none(),
+                                  tiny_cfg(batch_size=4))
+        assert speed.samples_per_sec > 0 and speed.dense_samples_per_sec > 0
+        assert np.isfinite(speed.saving)
 
     def test_leaves_weights_untouched(self):
         model = ViT(TINY, seed=0)
         before = {k: p.data.copy() for k, p in model.params.items()}
-        trainer.benchmark(model, DropSchedule.none(), tiny_cfg(batch_size=4),
-                          batches=2, discard=1)
+        trainer.benchmark(model, DropSchedule.none(), tiny_cfg(batch_size=4))
         for k, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[k])
+
+    def test_infinite_loss_fails(self):
+        # As in the train test, the seeded batch holds a label other than
+        # 0: the loss is +inf while every gradient stays finite.
+        model = ViT(TINY, seed=0)
+        model.params["head.b"].data[:] = -3e38
+        model.params["head.b"].data[0] = 3e38
+        with np.errstate(over="ignore"), pytest.raises(
+                RuntimeError, match="non-finite loss inf"):
+            trainer.benchmark(model, DropSchedule.none(), tiny_cfg(batch_size=4))
 
 
 # Fresh process: warm evaluate, measure it, then warm train and measure it,
