@@ -1,7 +1,7 @@
 """Desk-scale ViT training laboratory with attention-guided token skipping."""
 
 from .tensor import Tensor, precision, set_precision
-from .tokendrop import DropSchedule, TokenStash
+from .tokendrop import DropSchedule
 from .vit import MODEL_PRESETS, ModelConfig, TokenBatch, ViT
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "precision",
     "set_precision",
     "DropSchedule",
-    "TokenStash",
     "ModelConfig",
     "MODEL_PRESETS",
     "TokenBatch",

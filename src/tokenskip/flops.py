@@ -55,8 +55,6 @@ class LayerCost:
 @dataclass
 class CostReport:
     """Per-layer MAC accounting for a schedule against the dense baseline."""
-    config: ModelConfig
-    schedule: DropSchedule
     layers: list = field(default_factory=list)      # LayerCost per layer
     patch_embed_macs: int = 0
     head_macs: int = 0
@@ -95,7 +93,7 @@ def token_counts(config: ModelConfig, schedule: DropSchedule):
 def estimate_flops(config: ModelConfig, schedule: DropSchedule) -> CostReport:
     """Exact per-sample MAC counts of the forward pass under a schedule."""
     validate(schedule, config)
-    report = CostReport(config=config, schedule=schedule)
+    report = CostReport()
     d = config.embed_dim
     report.patch_embed_macs = (config.num_patches
                                * config.channels * config.patch_size ** 2 * d)

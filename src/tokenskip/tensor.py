@@ -136,20 +136,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
 
-    # Operator sugar for the common binary ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class ComputeTape:
     """Topologically ordered record of the differentiable ops behind a tensor.

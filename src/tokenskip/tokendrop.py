@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .vit import AttentionRecord, ModelConfig, TokenBatch
+from .vit import ModelConfig, TokenBatch
 
 log = logging.getLogger(__name__)
 
@@ -70,32 +70,6 @@ class LayerPlan:
     ratio: Optional[float] = None   # drop ratio of this layer's stage, if any
     fused: int = 0                  # dropped tokens fused into one token here
     reinsert: bool = False          # merge the stash back before attention
-
-
-@dataclass
-class ImportanceVector:
-    """Per-patch importance scores aligned with the current patch tokens."""
-    scores: Tensor           # [batch, patches], CLS column already removed
-    source_layer: int
-
-
-@dataclass
-class StashEntry:
-    drop_layer: int
-    embeddings: Tensor       # [batch, k, embed_dim]
-    positions: np.ndarray    # [batch, k] original positions
-
-
-@dataclass
-class TokenStash:
-    """Dropped tokens awaiting reinsertion, keyed by their drop layer."""
-    entries: list = field(default_factory=list)
-
-    def total_positions(self) -> Optional[np.ndarray]:
-        """All stashed positions as one [batch, k_total] array (None if empty)."""
-        if not self.entries:
-            return None
-        return np.concatenate([e.positions for e in self.entries], axis=1)
 
 
 def validate(schedule: DropSchedule, config: ModelConfig) -> None:
@@ -172,16 +146,19 @@ def plan(schedule: DropSchedule, config: ModelConfig,
     return layers
 
 
-def cls_importance(record: AttentionRecord) -> ImportanceVector:
-    """Head-averaged CLS attention row, with the CLS self-attention removed."""
-    b, heads, n, _ = record.scores.shape
+def cls_importance(scores: Tensor) -> Tensor:
+    """Head-averaged CLS attention row, with the CLS self-attention removed.
+
+    ``scores`` are post-softmax attention weights [batch, heads, N, N]; the
+    result is one importance per patch token, [batch, N-1].
+    """
+    b, heads, n, _ = scores.shape
     if n < 2:
         raise ValueError("importance needs at least one patch token besides CLS")
-    row = T.take(record.scores, np.array([0]), axis=2)      # [B, h, 1, N]
+    row = T.take(scores, np.array([0]), axis=2)             # [B, h, 1, N]
     row = T.reshape(row, (b, heads, n))
     mean = T.scale(T.tensor_sum(row, axis=1), 1.0 / heads)  # [B, N]
-    patch = T.take(mean, np.arange(1, n), axis=1)           # [B, N-1]
-    return ImportanceVector(scores=patch, source_layer=record.layer_index)
+    return T.take(mean, np.arange(1, n), axis=1)            # [B, N-1]
 
 
 def keep_count_for(patch_count: int, ratio: float) -> int:
@@ -189,9 +166,9 @@ def keep_count_for(patch_count: int, ratio: float) -> int:
     return math.ceil(patch_count * (1.0 - ratio))
 
 
-def select_topk(importance: ImportanceVector, ratio: float,
+def select_topk(scores: np.ndarray, ratio: float,
                 patch_positions: np.ndarray):
-    """Partition patch positions into keep/drop sets by importance.
+    """Partition patch positions into keep/drop sets by importance scores.
 
     Per-sample selection; ties broken toward the lower original position so
     the ordering is total. Both returned arrays are sorted ascending by
@@ -199,7 +176,6 @@ def select_topk(importance: ImportanceVector, ratio: float,
     """
     if not 0 <= ratio < 1:
         raise ValueError(f"drop ratio must be in [0, 1), got {ratio}")
-    scores = importance.scores.data
     if scores.shape != patch_positions.shape:
         raise ValueError(
             f"importance shape {scores.shape} does not match patch positions "
@@ -250,37 +226,39 @@ def _check_partition(positions: np.ndarray, keep_pos: np.ndarray,
 
 
 def split(tokens: TokenBatch, keep_pos: np.ndarray, drop_pos: np.ndarray,
-          stash: TokenStash, layer: int) -> TokenBatch:
+          stash: list) -> TokenBatch:
     """Remove the drop set from the live batch, stashing it for reinsertion.
 
-    Differentiable: gradients flow both into the kept path and, via the stash,
-    into the dropped path once it is reinserted.
+    ``stash`` is a list of (positions [batch, k], embeddings [batch, k, d])
+    pairs; the dropped set is appended to it. Differentiable: gradients flow
+    both into the kept path and, via the stash, into the dropped path once it
+    is reinserted.
     """
     _check_partition(tokens.positions, keep_pos, drop_pos)
     if drop_pos.shape[1] == 0:
         return tokens
     live, live_pos, dropped, _ = _gather_partition(tokens, keep_pos, drop_pos)
-    stash.entries.append(StashEntry(layer, dropped, drop_pos.copy()))
-    return TokenBatch(live, live_pos, layer)
+    stash.append((drop_pos.copy(), dropped))
+    return TokenBatch(live, live_pos)
 
 
-def reinsert(tokens: TokenBatch, stash: TokenStash) -> TokenBatch:
-    """Merge every stash entry back at its original positions (then empty it)."""
-    if not stash.entries:
+def reinsert(tokens: TokenBatch, stash: list) -> TokenBatch:
+    """Merge every stashed pair back at its original positions (then clear it)."""
+    if not stash:
         return tokens
-    b, live_n, d = tokens.embeddings.shape
-    stashed = stash.total_positions()
-    total = live_n + stashed.shape[1]
-    all_pos = np.concatenate([tokens.positions, stashed], axis=1)
+    b, _, d = tokens.embeddings.shape
+    all_pos = np.concatenate([tokens.positions] + [pos for pos, _ in stash],
+                             axis=1)
+    total = all_pos.shape[1]
     expected = np.tile(np.arange(total), (b, 1))
     if not (np.sort(all_pos, axis=1) == expected).all():
         raise ValueError("live and stashed positions do not cover 0..n exactly")
     base = Tensor(np.zeros((b, total, d), dtype=tokens.embeddings.dtype))
     out = T.scatter_rows(base, tokens.positions, tokens.embeddings)
-    for entry in stash.entries:
-        out = T.scatter_rows(out, entry.positions, entry.embeddings)
-    stash.entries.clear()
-    return TokenBatch(out, expected, tokens.layer_index)
+    for positions, embeddings in stash:
+        out = T.scatter_rows(out, positions, embeddings)
+    stash.clear()
+    return TokenBatch(out, expected)
 
 
 def fuse(dropped_embeddings: Tensor, dropped_importance: Tensor) -> Tensor:
@@ -303,19 +281,18 @@ def fuse(dropped_embeddings: Tensor, dropped_importance: Tensor) -> Tensor:
     return T.matmul(T.reshape(weights, (b, 1, k)), dropped_embeddings)
 
 
-def fuse_into(tokens: TokenBatch, importance: ImportanceVector,
-              keep_pos: np.ndarray, drop_pos: np.ndarray,
-              layer: int) -> TokenBatch:
+def fuse_into(tokens: TokenBatch, importance: Tensor, keep_pos: np.ndarray,
+              drop_pos: np.ndarray) -> TokenBatch:
     """Replace the drop set with a single fused token appended to the live batch."""
     _check_partition(tokens.positions, keep_pos, drop_pos)
     live, live_pos, dropped, drop_idx = _gather_partition(tokens, keep_pos,
                                                           drop_pos)
     # Importance is indexed by patch slot; token row i is patch slot i - 1.
     b, k = drop_pos.shape
-    imp3 = T.reshape(importance.scores, importance.scores.shape + (1,))
+    imp3 = T.reshape(importance, importance.shape + (1,))
     dropped_imp = T.reshape(T.gather_rows(imp3, drop_idx - 1), (b, k))
     fused = fuse(dropped, dropped_imp)
     merged = T.concat([live, fused], axis=1)
     positions = np.concatenate(
         [live_pos, np.full((b, 1), FUSED_POSITION, dtype=live_pos.dtype)], axis=1)
-    return TokenBatch(merged, positions, layer)
+    return TokenBatch(merged, positions)

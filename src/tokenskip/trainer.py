@@ -160,6 +160,8 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
     if steps_per_epoch == 0:
         raise ValueError(f"train split of {len(train_split)} samples holds no "
                          f"full batch of {cfg.batch_size}")
+    if val_split is not None and len(val_split) == 0:
+        raise ValueError("validation split is empty")
     _keep_heap()
     opt = AdamW(model.params, cfg.learning_rate, cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)

@@ -1,14 +1,13 @@
 """Small pre-norm Vision Transformer built on the tensor engine.
 
-The backbone exposes per-layer attention score records and the per-layer token
-sequences so the token-dropping machinery in ``tokendrop`` can hook in between
-the attention and FFN sublayers.
+The attention sublayer returns its post-softmax scores beside the token batch,
+so the forward pass can run the token-dropping machinery in ``tokendrop``
+between the attention and FFN sublayers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -72,7 +71,6 @@ class TokenBatch:
     """
     embeddings: Tensor
     positions: np.ndarray
-    layer_index: int = 0
 
     def __post_init__(self):
         b, n, _ = self.embeddings.shape
@@ -90,18 +88,9 @@ class TokenBatch:
 
 
 @dataclass
-class AttentionRecord:
-    """Post-softmax attention scores of one layer: [batch, heads, tokens, tokens]."""
-    scores: Tensor
-    layer_index: int
-
-
-@dataclass
 class ForwardDiagnostics:
     attn_tokens: list = field(default_factory=list)   # tokens at each layer's attention
     kept_patches: dict = field(default_factory=dict)  # drop layer -> kept patch count
-    records: Optional[list] = None
-    final_positions: Optional[np.ndarray] = None
 
 
 class ViT:
@@ -172,10 +161,14 @@ class ViT:
         tokens = T.concat([cls, tok], axis=1)
         tokens = T.add(tokens, self.params["pos"])
         positions = np.tile(np.arange(c.num_tokens), (b, 1))
-        return TokenBatch(tokens, positions, layer_index=0)
+        return TokenBatch(tokens, positions)
 
     def attention_block(self, tokens: TokenBatch, layer: int):
-        """Pre-norm MHSA sublayer; returns the residual sum and the score record."""
+        """Pre-norm MHSA sublayer; returns the residual sum and the scores.
+
+        The scores are the post-softmax attention weights,
+        [batch, heads, tokens, tokens].
+        """
         c = self.config
         pre = f"blocks.{layer}."
         x = tokens.embeddings
@@ -199,8 +192,7 @@ class ViT:
         out = T.matmul(ctx, self.params[pre + "attn.wo"],
                        self.params[pre + "attn.bo"])
         res = T.add(x, out)
-        return (TokenBatch(res, tokens.positions, layer),
-                AttentionRecord(scores, layer))
+        return TokenBatch(res, tokens.positions), scores
 
     def ffn_block(self, tokens: TokenBatch, layer: int) -> TokenBatch:
         pre = f"blocks.{layer}."
@@ -209,12 +201,10 @@ class ViT:
         h = T.matmul(h, self.params[pre + "ffn.w1"], self.params[pre + "ffn.b1"])
         h = T.gelu(h)
         h = T.matmul(h, self.params[pre + "ffn.w2"], self.params[pre + "ffn.b2"])
-        return TokenBatch(T.add(x, h), tokens.positions, layer)
+        return TokenBatch(T.add(x, h), tokens.positions)
 
     def classify(self, tokens: TokenBatch) -> Tensor:
         """Final layernorm on the CLS embedding, then the linear head."""
-        if not (tokens.positions[:, 0] == 0).all():
-            raise ValueError("CLS token missing at classification time")
         b = tokens.embeddings.shape[0]
         d = self.config.embed_dim
         cls = T.gather_rows(tokens.embeddings, np.zeros((b, 1), dtype=np.int64))
@@ -222,15 +212,14 @@ class ViT:
         h = T.layernorm(cls, self.params["ln_f.g"], self.params["ln_f.b"])
         return T.matmul(h, self.params["head.w"], self.params["head.b"])
 
-    def forward(self, images, schedule=None, epoch: int = 0,
-                collect_records: bool = False):
+    def forward(self, images, schedule=None, epoch: int = 0):
         """Full forward pass executing the schedule's per-layer token plan."""
         from . import tokendrop
 
         if schedule is None:
             schedule = tokendrop.DropSchedule.none()
-        stash = tokendrop.TokenStash()
-        diag = ForwardDiagnostics(records=[] if collect_records else None)
+        stash = []  # (positions, embeddings) pairs awaiting reinsertion
+        diag = ForwardDiagnostics()
 
         tokens = self.patchify(images)
         for layer, step in enumerate(tokendrop.plan(schedule, self.config,
@@ -238,30 +227,26 @@ class ViT:
             if step.reinsert:
                 tokens = tokendrop.reinsert(tokens, stash)
             diag.attn_tokens.append(tokens.num_tokens)
-            tokens, record = self.attention_block(tokens, layer)
-            if collect_records:
-                diag.records.append(record)
+            tokens, scores = self.attention_block(tokens, layer)
             if step.ratio is not None and not schedule.drop_after_ffn:
-                tokens = self._apply_drop(tokens, record, step, stash, layer,
+                tokens = self._apply_drop(tokens, scores, step, stash, layer,
                                           diag)
             tokens = self.ffn_block(tokens, layer)
             if step.ratio is not None and schedule.drop_after_ffn:
-                tokens = self._apply_drop(tokens, record, step, stash, layer,
+                tokens = self._apply_drop(tokens, scores, step, stash, layer,
                                           diag)
-        diag.final_positions = tokens.positions
         logits = self.classify(tokens)
         return logits, diag
 
-    def _apply_drop(self, tokens, record, step, stash, layer, diag):
+    def _apply_drop(self, tokens, scores, step, stash, layer, diag):
         from . import tokendrop
 
-        importance = tokendrop.cls_importance(record)
-        keep_pos, drop_pos = tokendrop.select_topk(importance, step.ratio,
+        importance = tokendrop.cls_importance(scores)
+        keep_pos, drop_pos = tokendrop.select_topk(importance.data, step.ratio,
                                                    tokens.positions[:, 1:])
         diag.kept_patches[layer] = keep_pos.shape[1]
         if drop_pos.shape[1] == 0:
             return tokens
         if step.fused:
-            return tokendrop.fuse_into(tokens, importance, keep_pos, drop_pos,
-                                       layer)
-        return tokendrop.split(tokens, keep_pos, drop_pos, stash, layer)
+            return tokendrop.fuse_into(tokens, importance, keep_pos, drop_pos)
+        return tokendrop.split(tokens, keep_pos, drop_pos, stash)

@@ -17,8 +17,7 @@ from gradcheck import finite_difference, relative_error
 from tokenskip import cli, data, flops, tensor as T, tokendrop, trainer
 from tokenskip.optim import AdamW
 from tokenskip.tensor import Tensor
-from tokenskip.tokendrop import (DropSchedule, ImportanceVector, TokenStash,
-                                 MODE_FUSE, MODE_SKIP)
+from tokenskip.tokendrop import DropSchedule, MODE_FUSE, MODE_SKIP
 from tokenskip.trainer import TrainConfig
 from tokenskip.vit import MODEL_PRESETS, ModelConfig, TokenBatch, ViT
 
@@ -129,8 +128,8 @@ def test_criterion_03_partition_round_trip():
             stages = int(rng.integers(1, 3))
             emb = rng.normal(size=(b, patches + 1, d))
             positions = np.tile(np.arange(patches + 1), (b, 1))
-            tokens = TokenBatch(Tensor(emb.copy()), positions, 0)
-            stash = TokenStash()
+            tokens = TokenBatch(Tensor(emb.copy()), positions)
+            stash = []
             for stage in range(stages):
                 live_patches = tokens.positions.shape[1] - 1
                 if live_patches < 2:
@@ -140,26 +139,22 @@ def test_criterion_03_partition_round_trip():
                 # Quantize some cases to force ties.
                 if case % 3 == 0:
                     scores = np.round(scores, 1)
-                imp = ImportanceVector(Tensor(scores), source_layer=stage)
-                keep, drop = tokendrop.select_topk(imp, ratio,
+                keep, drop = tokendrop.select_topk(scores, ratio,
                                                    tokens.positions[:, 1:])
                 # Deterministic and total: a second call agrees exactly.
-                keep2, drop2 = tokendrop.select_topk(imp, ratio,
+                keep2, drop2 = tokendrop.select_topk(scores, ratio,
                                                      tokens.positions[:, 1:])
                 assert np.array_equal(keep, keep2)
                 assert np.array_equal(drop, drop2)
                 # Invariant under positive scaling (powers of two are exact).
-                scaled = ImportanceVector(Tensor(scores * 4.0), stage)
-                keep3, _ = tokendrop.select_topk(scaled, ratio,
+                keep3, _ = tokendrop.select_topk(scores * 4.0, ratio,
                                                  tokens.positions[:, 1:])
                 assert np.array_equal(keep, keep3)
                 assert 0 not in drop, "CLS position must never be dropped"
-                tokens = tokendrop.split(tokens, keep, drop, stash, stage)
+                tokens = tokendrop.split(tokens, keep, drop, stash)
                 # Partition: stash positions + live positions == {0..n}.
-                stashed = stash.total_positions()
-                union = tokens.positions
-                if stashed is not None:
-                    union = np.concatenate([tokens.positions, stashed], axis=1)
+                union = np.concatenate(
+                    [tokens.positions] + [pos for pos, _ in stash], axis=1)
                 assert np.array_equal(np.sort(union, axis=1),
                                       np.tile(np.arange(patches + 1), (b, 1)))
             # Stashed rows are bit-equal to their drop-time values, so with

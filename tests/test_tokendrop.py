@@ -6,73 +6,76 @@ from hypothesis import strategies as st
 from tokenskip import tensor as T
 from tokenskip.tensor import Tensor
 from tokenskip import tokendrop as td
-from tokenskip.vit import AttentionRecord, ModelConfig, TokenBatch, ViT
+from tokenskip.vit import ModelConfig, TokenBatch, ViT
 
 
-def record_from(scores, layer=0):
-    return AttentionRecord(Tensor(np.asarray(scores, dtype=np.float64)), layer)
+def scores_from(scores):
+    return Tensor(np.asarray(scores, dtype=np.float64))
 
 
-def batch_from(emb, positions=None, layer=0):
+def batch_from(emb, positions=None):
     emb = np.asarray(emb, dtype=np.float64)
     if positions is None:
         positions = np.tile(np.arange(emb.shape[1]), (emb.shape[0], 1))
-    return TokenBatch(Tensor(emb), np.asarray(positions), layer)
+    return TokenBatch(Tensor(emb), np.asarray(positions))
+
+
+def stashed_positions(stash):
+    return np.concatenate([positions for positions, _ in stash], axis=1)
 
 
 class TestClsImportance:
     def test_uniform_rows(self):
         scores = np.full((1, 2, 5, 5), 0.2)
-        imp = td.cls_importance(record_from(scores))
-        np.testing.assert_allclose(imp.scores.data, [[0.2] * 4])
+        imp = td.cls_importance(scores_from(scores))
+        np.testing.assert_allclose(imp.data, [[0.2] * 4])
 
     def test_single_head_drops_cls_column(self):
         scores = np.zeros((1, 1, 4, 4))
         scores[0, 0, 0] = [0.4, 0.3, 0.2, 0.1]
-        imp = td.cls_importance(record_from(scores))
-        np.testing.assert_allclose(imp.scores.data, [[0.3, 0.2, 0.1]])
+        imp = td.cls_importance(scores_from(scores))
+        np.testing.assert_allclose(imp.data, [[0.3, 0.2, 0.1]])
 
     def test_two_head_mean(self):
         scores = np.zeros((1, 2, 3, 3))
         scores[0, 0, 0] = [0.5, 0.5, 0.0]
         scores[0, 1, 0] = [0.5, 0.0, 0.5]
-        imp = td.cls_importance(record_from(scores))
-        np.testing.assert_allclose(imp.scores.data, [[0.25, 0.25]])
+        imp = td.cls_importance(scores_from(scores))
+        np.testing.assert_allclose(imp.data, [[0.25, 0.25]])
 
     def test_too_few_tokens(self):
         with pytest.raises(ValueError):
-            td.cls_importance(record_from(np.ones((1, 1, 1, 1))))
+            td.cls_importance(scores_from(np.ones((1, 1, 1, 1))))
 
 
 class TestSelectTopk:
     def test_half_ratio(self):
-        imp = td.ImportanceVector(Tensor(np.array([[0.4, 0.1, 0.3, 0.2]])), 0)
+        imp = np.array([[0.4, 0.1, 0.3, 0.2]])
         keep, drop = td.select_topk(imp, 0.5, np.array([[1, 2, 3, 4]]))
         np.testing.assert_array_equal(keep, [[1, 3]])
         np.testing.assert_array_equal(drop, [[2, 4]])
 
     def test_ratio_zero_keeps_everything(self):
-        imp = td.ImportanceVector(Tensor(np.array([[0.4, 0.1, 0.3]])), 0)
+        imp = np.array([[0.4, 0.1, 0.3]])
         keep, drop = td.select_topk(imp, 0.0, np.array([[1, 2, 3]]))
         np.testing.assert_array_equal(keep, [[1, 2, 3]])
         assert drop.shape == (1, 0)
 
     def test_paper_shape_keep_count(self):
         rng = np.random.default_rng(0)
-        imp = td.ImportanceVector(Tensor(rng.uniform(size=(1, 196))), 0)
+        imp = rng.uniform(size=(1, 196))
         keep, drop = td.select_topk(imp, 0.55, np.arange(1, 197)[None, :])
         assert keep.shape[1] == 89
         assert drop.shape[1] == 107
 
     def test_tie_break_by_position(self):
-        imp = td.ImportanceVector(Tensor(np.full((1, 4), 0.25)), 0)
+        imp = np.full((1, 4), 0.25)
         keep, drop = td.select_topk(imp, 0.5, np.array([[1, 2, 3, 4]]))
         np.testing.assert_array_equal(keep, [[1, 2]])
         np.testing.assert_array_equal(drop, [[3, 4]])
 
     def test_per_sample_selection(self):
-        imp = td.ImportanceVector(
-            Tensor(np.array([[0.9, 0.1], [0.1, 0.9]])), 0)
+        imp = np.array([[0.9, 0.1], [0.1, 0.9]])
         keep, drop = td.select_topk(imp, 0.5, np.array([[1, 2], [1, 2]]))
         np.testing.assert_array_equal(keep, [[1], [2]])
         np.testing.assert_array_equal(drop, [[2], [1]])
@@ -81,63 +84,60 @@ class TestSelectTopk:
 class TestSplitReinsert:
     def test_empty_drop_is_identity(self):
         batch = batch_from(np.arange(12.0).reshape(1, 4, 3))
-        stash = td.TokenStash()
+        stash = []
         out = td.split(batch, np.array([[1, 2, 3]]), np.empty((1, 0), dtype=int),
-                       stash, layer=1)
+                       stash)
         assert out is batch
-        assert not stash.entries
+        assert not stash
 
     def test_split_partitions_positions(self):
         batch = batch_from(np.arange(15.0).reshape(1, 5, 3))
-        stash = td.TokenStash()
-        out = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash, 2)
+        stash = []
+        out = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash)
         np.testing.assert_array_equal(out.positions, [[0, 1, 3]])
-        np.testing.assert_array_equal(stash.entries[0].positions, [[2, 4]])
+        np.testing.assert_array_equal(stash[0][0], [[2, 4]])
 
     def test_partition_violation_rejected(self):
         batch = batch_from(np.zeros((1, 5, 3)))
         with pytest.raises(ValueError, match="partition"):
-            td.split(batch, np.array([[1, 2]]), np.array([[2, 4]]),
-                     td.TokenStash(), 1)
+            td.split(batch, np.array([[1, 2]]), np.array([[2, 4]]), [])
 
     def test_reinsert_empty_stash_identity(self):
         batch = batch_from(np.zeros((1, 3, 2)))
-        assert td.reinsert(batch, td.TokenStash()) is batch
+        assert td.reinsert(batch, []) is batch
 
     def test_reinsert_restores_rows_bit_exact(self):
         emb = np.arange(15.0).reshape(1, 5, 3)
         batch = batch_from(emb)
-        stash = td.TokenStash()
-        live = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash, 2)
+        stash = []
+        live = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash)
         merged = td.reinsert(live, stash)
         np.testing.assert_array_equal(merged.positions, [[0, 1, 2, 3, 4]])
         assert (merged.embeddings.data == emb).all()
-        assert not stash.entries
+        assert not stash
 
     def test_duplicate_positions_rejected(self):
         batch = batch_from(np.zeros((1, 3, 2)), positions=np.array([[0, 1, 2]]))
-        stash = td.TokenStash()
-        stash.entries.append(td.StashEntry(1, Tensor(np.zeros((1, 1, 2))),
-                                           np.array([[2]])))
+        stash = [(np.array([[2]]), Tensor(np.zeros((1, 1, 2))))]
         with pytest.raises(ValueError, match="positions"):
             td.reinsert(batch, stash)
 
     def test_two_stage_partition(self):
         emb = np.arange(15.0).reshape(1, 5, 3)
         batch = batch_from(emb)
-        stash = td.TokenStash()
-        live = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash, 1)
-        live = td.split(live, np.array([[1]]), np.array([[3]]), stash, 2)
-        stashed = np.sort(stash.total_positions(), axis=1)
+        stash = []
+        live = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash)
+        live = td.split(live, np.array([[1]]), np.array([[3]]), stash)
+        stashed = np.sort(stashed_positions(stash), axis=1)
         np.testing.assert_array_equal(stashed, [[2, 3, 4]])
         merged = td.reinsert(live, stash)
         assert (merged.embeddings.data == emb).all()
 
     def test_gradients_flow_through_both_paths(self):
         emb = Tensor(np.arange(15.0).reshape(1, 5, 3), requires_grad=True)
-        batch = TokenBatch(emb, np.arange(5)[None, :], 0)
-        stash = td.TokenStash()
-        live = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash, 1)
+        batch = TokenBatch(emb, np.arange(5)[None, :])
+        stash = []
+        live = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash)
         merged = td.reinsert(live, stash)
         T.tensor_sum(merged.embeddings).backward()
         np.testing.assert_array_equal(emb.grad, np.ones((1, 5, 3)))
@@ -243,28 +243,35 @@ class TestPlan:
         model = ViT(self.CFG, seed=0)
         images = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
         seen = {}
-        ffn_block, fuse_into, reinsert = ViT.ffn_block, td.fuse_into, td.reinsert
+        attention_block, ffn_block = ViT.attention_block, ViT.ffn_block
+        fuse_into, reinsert = td.fuse_into, td.reinsert
+
+        def attn(self, tokens, layer):
+            seen["attn"].append(layer)
+            return attention_block(self, tokens, layer)
 
         def ffn(self, tokens, layer):
             seen["ffn"].append(tokens.num_tokens)
             return ffn_block(self, tokens, layer)
 
-        def fuse(tokens, importance, keep_pos, drop_pos, layer):
-            seen["fused"][layer] = drop_pos.shape[1]
-            return fuse_into(tokens, importance, keep_pos, drop_pos, layer)
+        def fuse(tokens, importance, keep_pos, drop_pos):
+            # Fusion follows the attention sublayer of its own layer.
+            seen["fused"][seen["attn"][-1]] = drop_pos.shape[1]
+            return fuse_into(tokens, importance, keep_pos, drop_pos)
 
         def merge(tokens, stash):
-            # The batch still carries the index of the layer before.
-            seen["reinsert"].append(tokens.layer_index + 1)
+            # Reinsertion precedes the attention sublayer of its layer.
+            seen["reinsert"].append(len(seen["attn"]))
             return reinsert(tokens, stash)
 
+        monkeypatch.setattr(ViT, "attention_block", attn)
         monkeypatch.setattr(ViT, "ffn_block", ffn)
         monkeypatch.setattr(td, "fuse_into", fuse)
         monkeypatch.setattr(td, "reinsert", merge)
         checked = 0
         for schedule in _plan_matrix(self.CFG.depth, warmup=2):
             for epoch in (1, 2):
-                seen.update(ffn=[], fused={}, reinsert=[])
+                seen.update(attn=[], ffn=[], fused={}, reinsert=[])
                 _, diag = model.forward(images, schedule, epoch=epoch)
                 steps = td.plan(schedule, self.CFG, epoch)
                 assert [s.attn_tokens for s in steps] == diag.attn_tokens
@@ -339,8 +346,7 @@ def drop_case(draw):
 def test_partition_invariant_single_stage(case):
     n, batch, scores, ratio = case
     positions = np.tile(np.arange(1, n + 1), (batch, 1))
-    imp = td.ImportanceVector(Tensor(scores), 0)
-    keep, drop = td.select_topk(imp, ratio, positions)
+    keep, drop = td.select_topk(scores, ratio, positions)
     all_pos = np.sort(np.concatenate(
         [np.zeros((batch, 1), dtype=int), keep, drop], axis=1), axis=1)
     np.testing.assert_array_equal(all_pos, np.tile(np.arange(n + 1), (batch, 1)))
@@ -353,23 +359,20 @@ def test_two_stage_partition_and_roundtrip(case, ratio2):
     n, batch, scores, ratio = case
     rng = np.random.default_rng(0)
     emb = rng.normal(size=(batch, n + 1, 4))
-    tokens = TokenBatch(Tensor(emb), np.tile(np.arange(n + 1), (batch, 1)), 0)
-    stash = td.TokenStash()
+    tokens = TokenBatch(Tensor(emb), np.tile(np.arange(n + 1), (batch, 1)))
+    stash = []
 
-    imp = td.ImportanceVector(Tensor(scores), 0)
-    keep, drop = td.select_topk(imp, ratio, tokens.positions[:, 1:])
-    tokens = td.split(tokens, keep, drop, stash, 1)
+    keep, drop = td.select_topk(scores, ratio, tokens.positions[:, 1:])
+    tokens = td.split(tokens, keep, drop, stash)
 
     live_patches = tokens.positions.shape[1] - 1
     if live_patches >= 1:
         scores2 = rng.uniform(size=(batch, live_patches))
-        imp2 = td.ImportanceVector(Tensor(scores2), 1)
-        keep2, drop2 = td.select_topk(imp2, ratio2, tokens.positions[:, 1:])
-        tokens = td.split(tokens, keep2, drop2, stash, 2)
+        keep2, drop2 = td.select_topk(scores2, ratio2, tokens.positions[:, 1:])
+        tokens = td.split(tokens, keep2, drop2, stash)
 
-    stashed = stash.total_positions()
-    combined = tokens.positions if stashed is None else \
-        np.concatenate([tokens.positions, stashed], axis=1)
+    combined = tokens.positions if not stash else \
+        np.concatenate([tokens.positions, stashed_positions(stash)], axis=1)
     np.testing.assert_array_equal(np.sort(combined, axis=1),
                                   np.tile(np.arange(n + 1), (batch, 1)))
 
@@ -385,11 +388,9 @@ def test_two_stage_partition_and_roundtrip(case, ratio2):
 def test_selection_invariant_under_positive_scaling(case, log2_scale):
     n, batch, scores, ratio = case
     positions = np.tile(np.arange(1, n + 1), (batch, 1))
-    keep_a, drop_a = td.select_topk(td.ImportanceVector(Tensor(scores), 0),
-                                    ratio, positions)
+    keep_a, drop_a = td.select_topk(scores, ratio, positions)
     scaled = scores * float(2.0 ** log2_scale)
-    keep_b, drop_b = td.select_topk(td.ImportanceVector(Tensor(scaled), 0),
-                                    ratio, positions)
+    keep_b, drop_b = td.select_topk(scaled, ratio, positions)
     # Scaled down, a subnormal can round onto a neighbour; the new tie breaks
     # toward the lower position, so only a scaling that adds no tie must agree.
     if all(np.unique(a).size == np.unique(b).size
@@ -403,8 +404,7 @@ def test_selection_invariant_under_positive_scaling(case, log2_scale):
 def test_selection_deterministic(case):
     n, batch, scores, ratio = case
     positions = np.tile(np.arange(1, n + 1), (batch, 1))
-    imp = td.ImportanceVector(Tensor(scores), 0)
-    first = td.select_topk(imp, ratio, positions)
-    second = td.select_topk(imp, ratio, positions)
+    first = td.select_topk(scores, ratio, positions)
+    second = td.select_topk(scores, ratio, positions)
     np.testing.assert_array_equal(first[0], second[0])
     np.testing.assert_array_equal(first[1], second[1])

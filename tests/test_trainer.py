@@ -114,6 +114,18 @@ class TestTrain:
         with pytest.raises(ValueError):
             trainer.train(model, bad, tiny_cfg(), tiny_split())
 
+    def test_empty_val_split_is_rejected_before_any_step(self, tmp_path,
+                                                         monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a train step ran")
+
+        monkeypatch.setattr(trainer, "_train_step", no_step)
+        model = ViT(TINY, seed=0)
+        with pytest.raises(ValueError, match="split"):
+            trainer.train(model, DropSchedule.none(), tiny_cfg(), tiny_split(),
+                          tiny_split().subset(0), out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_dropping_reduces_attention_tokens(self, tmp_path):
         config = ModelConfig(depth=4, heads=2, embed_dim=8, ffn_ratio=2,
                              patch_size=2, image_size=8, num_classes=3)

@@ -66,10 +66,10 @@ class TestAttentionBlock:
     def test_record_rows_sum_to_one(self):
         model = ViT(SMALL, seed=1)
         tokens = model.patchify(images_for(SMALL))
-        _, record = model.attention_block(tokens, 0)
-        sums = record.scores.data.sum(axis=-1)
+        _, scores = model.attention_block(tokens, 0)
+        sums = scores.data.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-5)
-        assert (record.scores.data >= 0).all() and (record.scores.data <= 1).all()
+        assert (scores.data >= 0).all() and (scores.data <= 1).all()
 
     def test_uniform_attention_mixes_to_mean(self):
         # Zero Q/K projections force uniform scores; identity V and output
@@ -84,8 +84,8 @@ class TestAttentionBlock:
         model.params["blocks.0.attn.wv"].data[:] = eye
         model.params["blocks.0.attn.wo"].data[:] = eye
         tokens = model.patchify(images_for(cfg, batch=1))
-        out, record = model.attention_block(tokens, 0)
-        np.testing.assert_allclose(record.scores.data, 1.0 / 5, atol=1e-6)
+        out, scores = model.attention_block(tokens, 0)
+        np.testing.assert_allclose(scores.data, 1.0 / 5, atol=1e-6)
         x = tokens.embeddings.data
         normed = T.layernorm(tokens.embeddings,
                              model.params["blocks.0.ln1.g"],
@@ -162,6 +162,19 @@ class TestClassify:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
+def spy_classified_positions(monkeypatch) -> list:
+    """Record the token positions each ``ViT.classify`` call receives."""
+    seen = []
+    classify = ViT.classify
+
+    def spy(self, tokens):
+        seen.append(tokens.positions)
+        return classify(self, tokens)
+
+    monkeypatch.setattr(ViT, "classify", spy)
+    return seen
+
+
 class TestForward:
     def test_schedule_none_matches_empty_schedule(self):
         model = ViT(SMALL, seed=6)
@@ -199,30 +212,42 @@ class TestForward:
         assert diag.attn_tokens == [65, 65, 65, 65, 30, 65]
         assert diag.kept_patches == {3: 29}
 
-    def test_final_positions_restored_under_skip(self):
+    def test_classified_positions_restored_under_skip(self, monkeypatch):
+        final = spy_classified_positions(monkeypatch)
         model = ViT(SMALL, seed=7)
         sched = DropSchedule(stages=((2, 0.3), (3, 0.3)), skip_target=5,
                              mode="skip")
-        _, diag = model.forward(images_for(SMALL), sched, epoch=0)
-        np.testing.assert_array_equal(diag.final_positions,
+        model.forward(images_for(SMALL), sched, epoch=0)
+        np.testing.assert_array_equal(final[-1],
                                       np.tile(np.arange(65), (2, 1)))
 
-    def test_attention_rows_normalized_at_every_layer_with_drops(self):
+    def test_attention_rows_normalized_at_every_layer_with_drops(
+            self, monkeypatch):
+        seen = []
+        attention_block = ViT.attention_block
+
+        def attn(self, tokens, layer):
+            out, scores = attention_block(self, tokens, layer)
+            seen.append(scores)
+            return out, scores
+
+        monkeypatch.setattr(ViT, "attention_block", attn)
         model = ViT(SMALL, seed=8)
         sched = DropSchedule.single(2, 0.5, 4)
-        _, diag = model.forward(images_for(SMALL), sched, epoch=0,
-                                collect_records=True)
-        for record in diag.records:
-            sums = record.scores.data.sum(axis=-1)
+        model.forward(images_for(SMALL), sched, epoch=0)
+        assert len(seen) == SMALL.depth
+        for scores in seen:
+            sums = scores.data.sum(axis=-1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-5)
 
-    def test_fuse_mode_appends_single_token(self):
+    def test_fuse_mode_appends_single_token(self, monkeypatch):
+        final = spy_classified_positions(monkeypatch)
         model = ViT(SMALL, seed=9)
         sched = DropSchedule.fused(2, 0.45)
         _, diag = model.forward(images_for(SMALL), sched, epoch=0)
         # ceil(64*0.55) = 36 kept patches + CLS + fused token = 38.
         assert diag.attn_tokens == [65, 65, 65, 38, 38, 38]
-        assert diag.final_positions[0, -1] == -1
+        assert final[-1][0, -1] == -1
 
     def test_drop_after_ffn_flag_delays_reduction(self):
         model = ViT(SMALL, seed=9)
