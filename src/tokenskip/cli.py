@@ -37,9 +37,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key")
         p.add_argument("--out", required=needs_out, help="output directory")
-        p.add_argument("--seed", type=int, help="override seed")
-        p.add_argument("--precision", type=int, choices=(32, 64),
-                       help="float width for all tensors")
 
     common(sub.add_parser("train", help="train a model, write metrics"),
            needs_out=True)
@@ -57,14 +54,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _items(args) -> dict:
-    """Config items from --config, then --set, --seed and --precision."""
+    """Config items from --config, then --set (seed and precision included)."""
     items = cfgmod.load_file(args.config) if args.config else {}
-    items = cfgmod.apply_overrides(items, args.overrides)
-    if args.seed is not None:
-        items["seed"] = str(args.seed)
-    if args.precision is not None:
-        items["precision"] = str(args.precision)
-    return items
+    return cfgmod.apply_overrides(items, args.overrides)
 
 
 def _resolve(args) -> ExperimentConfig:

@@ -1,8 +1,11 @@
 """Flat key=value experiment configuration.
 
 The format is plain text, one ``section.key = value`` per line, with ``#``
-comments. Arrays are comma-separated. Sections: model, schedule, train,
-dataset, sweep, plus the top-level keys seed and precision. Example::
+comments. Arrays are comma-separated. The keys are the fields of
+``ModelConfig``, ``TrainConfig``, ``DatasetConfig`` and ``DropSchedule``
+(sections model, train, dataset, schedule), the model and train presets, the
+stages as schedule.drop_layers and schedule.drop_ratios, and the top-level
+seed and precision. An empty value leaves a key unset. Example::
 
     model.preset = desk
     schedule.mode = skip
@@ -17,6 +20,8 @@ dataset, sweep, plus the top-level keys seed and precision. Example::
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -46,14 +51,15 @@ class ExperimentConfig:
     schedule: DropSchedule
     train: TrainConfig
     dataset: DatasetConfig
-    seed: int = 0
     precision: int = 32
 
-    def validated(self) -> "ExperimentConfig":
-        tokendrop.validate(self.schedule, self.model)
+    def __post_init__(self):
         if self.precision not in (32, 64):
             raise ConfigError(f"precision must be 32 or 64, got {self.precision}")
-        return self
+
+    @property
+    def seed(self) -> int:
+        return self.train.seed
 
 
 def parse_text(text: str) -> dict[str, str]:
@@ -110,66 +116,71 @@ def _csv(key: str, value: str, kind) -> tuple:
     return tuple(_coerce(key, part.strip(), kind) for part in value.split(","))
 
 
-def _build_section(key_prefix, items, presets, base, fields):
-    """Resolve <section>.preset plus per-field overrides into a dataclass."""
-    preset = items.get(f"{key_prefix}.preset")
-    if preset is not None:
-        if preset not in presets:
-            raise ConfigError(
-                f"{key_prefix}.preset: unknown preset {preset!r} "
-                f"(choose from {sorted(presets)})")
-        base = presets[preset]
-    changes = {}
-    for name, kind in fields.items():
-        value = items.get(f"{key_prefix}.{name}")
-        if value is not None and value != "":
-            changes[name] = _coerce(f"{key_prefix}.{name}", value, kind)
+@functools.cache
+def _types(cls) -> dict:
+    """Field name -> parse type of a config dataclass; Optional[X] parses as X."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+            for f in dataclasses.fields(cls)}
+
+
+# Section -> (presets, default); its keys are the fields of the default's type,
+# less two set another way: the seed is top-level, and the stages come from
+# schedule.drop_layers and schedule.drop_ratios.
+_SECTIONS = {
+    "model": (MODEL_PRESETS, MODEL_PRESETS["desk"]),
+    "train": (TRAIN_PRESETS, TRAIN_PRESETS["desk"]),
+    "dataset": ({}, DatasetConfig()),
+    "schedule": ({}, DropSchedule()),
+}
+_NOT_KEYS = {"train.seed", "schedule.stages"}
+_KEYS = {section: {name: kind for name, kind in _types(type(default)).items()
+                   if f"{section}.{name}" not in _NOT_KEYS}
+         for section, (_, default) in _SECTIONS.items()}
+
+KNOWN_KEYS = (
+    {"seed", "precision", "sweep.arms", "schedule.drop_layers",
+     "schedule.drop_ratios"}
+    | {f"{section}.preset" for section, (presets, _) in _SECTIONS.items()
+       if presets}
+    | {f"{section}.{name}" for section, types in _KEYS.items()
+       for name in types}
+)
+
+
+def _replace(obj, values: dict, types: dict, prefix: str = ""):
+    """``obj`` with each set value parsed into its field; "" means unset."""
+    changes = {name: _coerce(prefix + name, value, types[name])
+               for name, value in values.items() if value}
     try:
-        return dataclasses.replace(base, **changes) if changes else base
+        return dataclasses.replace(obj, **changes) if changes else obj
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-_MODEL_FIELDS = {"depth": int, "heads": int, "embed_dim": int,
-                 "ffn_ratio": int, "patch_size": int, "image_size": int,
-                 "num_classes": int, "channels": int}
-_TRAIN_FIELDS = {"batch_size": int, "epochs": int, "weight_decay": float,
-                 "learning_rate": float, "warmup_lr": float,
-                 "lr_warmup_epochs": int, "lr_schedule": str}
-_SCHEDULE_FIELDS = {"mode": str, "drop_layers": "csv_int",
-                    "drop_ratios": "csv_float", "skip_target": int,
-                    "warmup_epochs": int, "drop_after_ffn": bool}
-_DATASET_FIELDS = {"source": str, "root": str, "train_n": int, "val_n": int}
-
-KNOWN_KEYS = (
-    {"seed", "precision", "model.preset", "train.preset", "sweep.arms"}
-    | {f"model.{k}" for k in _MODEL_FIELDS}
-    | {f"train.{k}" for k in _TRAIN_FIELDS}
-    | {f"schedule.{k}" for k in _SCHEDULE_FIELDS}
-    | {f"dataset.{k}" for k in _DATASET_FIELDS}
-)
+def _build_section(section: str, items: dict[str, str]):
+    """Resolve <section>.preset plus per-field overrides into a dataclass."""
+    presets, base = _SECTIONS[section]
+    preset = items.get(f"{section}.preset")
+    if preset is not None:
+        if preset not in presets:
+            raise ConfigError(
+                f"{section}.preset: unknown preset {preset!r} "
+                f"(choose from {sorted(presets)})")
+        base = presets[preset]
+    types = _KEYS[section]
+    return _replace(base, {name: items.get(f"{section}.{name}")
+                           for name in types}, types, f"{section}.")
 
 
-def _build_schedule(items: dict[str, str]) -> DropSchedule:
-    mode = items.get("schedule.mode", tokendrop.MODE_NONE)
+def _stages(items: dict[str, str]) -> tuple:
     layers = _csv("schedule.drop_layers", items.get("schedule.drop_layers", ""), int)
     ratios = _csv("schedule.drop_ratios", items.get("schedule.drop_ratios", ""), float)
     if len(layers) != len(ratios):
         raise ConfigError(
             f"schedule.drop_layers has {len(layers)} entries but "
             f"schedule.drop_ratios has {len(ratios)}")
-    skip_target = items.get("schedule.skip_target")
-    return DropSchedule(
-        stages=tuple(zip(layers, ratios)),
-        skip_target=None if skip_target in (None, "") else
-        _coerce("schedule.skip_target", skip_target, int),
-        mode=mode,
-        warmup_epochs=_coerce("schedule.warmup_epochs",
-                              items.get("schedule.warmup_epochs", "0"), int),
-        drop_after_ffn=_coerce("schedule.drop_after_ffn",
-                               items.get("schedule.drop_after_ffn", "false"),
-                               bool),
-    )
+    return tuple(zip(layers, ratios))
 
 
 def _check_keys(items: dict[str, str]) -> None:
@@ -185,18 +196,16 @@ def _check_keys(items: dict[str, str]) -> None:
 def build(items: dict[str, str]) -> ExperimentConfig:
     """Turn a flat item dict into a validated ExperimentConfig."""
     _check_keys(items)
-    model = _build_section("model", items, MODEL_PRESETS,
-                           MODEL_PRESETS["desk"], _MODEL_FIELDS)
-    train = _build_section("train", items, TRAIN_PRESETS,
-                           TRAIN_PRESETS["desk"], _TRAIN_FIELDS)
-    dataset = _build_section("dataset", items, {}, DatasetConfig(),
-                             _DATASET_FIELDS)
-    seed = _coerce("seed", items.get("seed", "0"), int)
-    precision = _coerce("precision", items.get("precision", "32"), int)
-    train = dataclasses.replace(train, seed=seed)
-    return ExperimentConfig(model=model, schedule=_build_schedule(items),
-                            train=train, dataset=dataset, seed=seed,
-                            precision=precision).validated()
+    model = _build_section("model", items)
+    train = _replace(_build_section("train", items),
+                     {"seed": items.get("seed")}, _types(TrainConfig))
+    dataset = _build_section("dataset", items)
+    schedule = dataclasses.replace(_build_section("schedule", items),
+                                   stages=_stages(items))
+    tokendrop.validate(schedule, model)
+    return _replace(ExperimentConfig(model, schedule, train, dataset),
+                    {"precision": items.get("precision")},
+                    _types(ExperimentConfig))
 
 
 def sweep_arms(items: dict[str, str]) -> list[tuple[str, ExperimentConfig]]:
@@ -236,22 +245,13 @@ def resolved_items(cfg: ExperimentConfig) -> dict[str, str]:
             return "true" if value else "false"
         return "" if value is None else str(value)
 
-    items = {}
-    for name in _MODEL_FIELDS:
-        items[f"model.{name}"] = fmt(getattr(cfg.model, name))
-    for name in _TRAIN_FIELDS:
-        items[f"train.{name}"] = fmt(getattr(cfg.train, name))
-    for name in _DATASET_FIELDS:
-        items[f"dataset.{name}"] = fmt(getattr(cfg.dataset, name))
-    sched = cfg.schedule
-    items["schedule.mode"] = sched.mode
-    items["schedule.drop_layers"] = ",".join(str(l) for l, _ in sched.stages)
-    items["schedule.drop_ratios"] = ",".join(str(r) for _, r in sched.stages)
-    items["schedule.skip_target"] = fmt(sched.skip_target)
-    items["schedule.warmup_epochs"] = fmt(sched.warmup_epochs)
-    items["schedule.drop_after_ffn"] = fmt(sched.drop_after_ffn)
-    items["seed"] = fmt(cfg.seed)
-    items["precision"] = fmt(cfg.precision)
+    stages = cfg.schedule.stages
+    items = {"schedule.drop_layers": ",".join(str(l) for l, _ in stages),
+             "schedule.drop_ratios": ",".join(str(r) for _, r in stages),
+             "seed": fmt(cfg.seed), "precision": fmt(cfg.precision)}
+    for section, types in _KEYS.items():
+        for name in types:
+            items[f"{section}.{name}"] = fmt(getattr(getattr(cfg, section), name))
     return items
 
 

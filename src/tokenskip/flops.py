@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tokendrop import DropSchedule, plan, validate
+from .tokendrop import PAST_WARMUP, DropSchedule, plan, validate
 from .vit import ModelConfig, ViT
 
 
@@ -121,5 +121,5 @@ def measure_forward_macs(model: ViT, schedule: DropSchedule,
     image = rng.normal(size=(1, c.channels, c.image_size,
                              c.image_size)).astype(np.float32)
     with T.no_grad(), count_macs() as counter:
-        model.forward(image, schedule, epoch=10 ** 9)
+        model.forward(image, schedule, epoch=PAST_WARMUP)
     return counter.total

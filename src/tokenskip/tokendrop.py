@@ -30,6 +30,9 @@ MODE_FUSE = "fuse"
 # Sequence position assigned to a fused token (never a real patch position).
 FUSED_POSITION = -1
 
+# An epoch past any warm-up: the schedule runs in full.
+PAST_WARMUP = 10 ** 9
+
 
 @dataclass(frozen=True)
 class DropSchedule:
@@ -113,7 +116,7 @@ def validate(schedule: DropSchedule, config: ModelConfig) -> None:
 
 
 def plan(schedule: DropSchedule, config: ModelConfig,
-         epoch: int = 10 ** 9) -> list:
+         epoch: int = PAST_WARMUP) -> list:
     """One LayerPlan per layer: the token topology of the forward pass.
 
     Dense before ``warmup_epochs``; the stash is reinserted at the skip target

@@ -14,7 +14,7 @@ import numpy as np
 from . import checkpoint, tensor as T, tokendrop
 from .data import Split
 from .optim import AdamW, lr_at
-from .tokendrop import DropSchedule
+from .tokendrop import PAST_WARMUP, DropSchedule
 from .vit import ViT
 
 METRICS_FILE = "metrics.jsonl"
@@ -35,17 +35,15 @@ class TrainConfig:
     learning_rate: float = 1e-3
     warmup_lr: float = 1e-6
     lr_warmup_epochs: int = 1
-    lr_schedule: str = "cosine"  # cosine | constant
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("learning_rate", "warmup_lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
 
 
 # The paper's full-scale recipe less its mixup 0.1; not a desk-scale default.
@@ -186,14 +184,10 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
             idx = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
             images = train_split.images[idx]
             labels = train_split.labels[idx]
-            if cfg.lr_schedule == "constant":
-                lr = cfg.learning_rate
-            else:
-                lr = lr_at(epoch, step, steps_per_epoch,
-                           learning_rate=cfg.learning_rate,
-                           warmup_lr=cfg.warmup_lr,
-                           lr_warmup_epochs=cfg.lr_warmup_epochs,
-                           epochs=cfg.epochs)
+            lr = lr_at(epoch, step, steps_per_epoch,
+                       learning_rate=cfg.learning_rate,
+                       warmup_lr=cfg.warmup_lr,
+                       lr_warmup_epochs=cfg.lr_warmup_epochs, epochs=cfg.epochs)
             t0 = time.perf_counter()
             loss, logits, diag = _train_step(model, schedule, opt, images,
                                              labels, epoch, step, lr)
@@ -250,7 +244,7 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
 
 
 def evaluate(model: ViT, split: Split, schedule: Optional[DropSchedule] = None,
-             epoch: int = 10 ** 9, batch_size: int = 64) -> float:
+             epoch: int = PAST_WARMUP, batch_size: int = 64) -> float:
     """Top-1 accuracy (%) over a split.
 
     By default the drop schedule stays active (epoch past warm-up), matching
@@ -305,7 +299,7 @@ def benchmark(model: ViT, schedule: DropSchedule,
     times = np.empty(len(order))
     for step, arm in enumerate(order):
         t0 = time.perf_counter()
-        _train_step(model, arms[arm], opt, images, labels, 10 ** 9, step, 0.0)
+        _train_step(model, arms[arm], opt, images, labels, PAST_WARMUP, step, 0.0)
         times[step] = time.perf_counter() - t0
     order, times = np.array(order[2:]), times[2:]
     dense, dropped = times[order == 0], times[order == 1]

@@ -7,7 +7,7 @@ between the attention and FFN sublayers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +27,9 @@ class ModelConfig:
     channels: int = 3
 
     def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.embed_dim % self.heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"

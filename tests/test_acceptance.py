@@ -239,8 +239,7 @@ def test_criterion_06_overfit_smoke():
         split = data.normalize(split, stats)
         model = ViT(DESK, seed=0)
         cfg = TrainConfig(batch_size=16, epochs=100, learning_rate=1e-3,
-                          weight_decay=0.0, lr_warmup_epochs=2,
-                          lr_schedule="cosine", seed=0)
+                          weight_decay=0.0, lr_warmup_epochs=2, seed=0)
         metrics = trainer.train(model, DropSchedule.none(), cfg, split,
                                 max_steps=400, stop_at_train_top1=99.0)
         steps = len(metrics.step_losses)
@@ -338,7 +337,7 @@ def test_criterion_10_reproducibility(tmp_path):
                      "--set", "dataset.train_n=32",
                      "--set", "dataset.val_n=8",
                      "--set", "train.batch_size=8",
-                     "--set", "train.epochs=2", "--seed", "5"]
+                     "--set", "train.epochs=2", "--set", "seed=5"]
         blobs = []
         for name in ("first", "second"):
             out = tmp_path / name

@@ -52,6 +52,16 @@ class TestExitCodes:
         metrics = out_dir / "metrics.jsonl"
         assert not metrics.exists() or metrics.read_text() == ""
 
+    @pytest.mark.parametrize("key", ["model.heads", "model.patch_size",
+                                     "train.epochs"])
+    def test_zero_size_is_exit_1_before_training(self, capsys, tmp_path, key):
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "train", "--out", str(out_dir), *TINY,
+                             "--set", f"{key}=0")
+        assert code == cli.EXIT_CONFIG
+        assert f"{key.split('.')[1]} must be >= 1, got 0" in err
+        assert "top-1" not in out and not out_dir.exists()
+
     def test_missing_checkpoint_is_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--checkpoint",
                            str(tmp_path / "nope.ckpt"), *TINY)
@@ -97,7 +107,7 @@ class TestTrainEvalBench:
         for name in ("a", "b"):
             out_dir = tmp_path / name
             assert run(capsys, "train", "--out", str(out_dir),
-                       "--seed", "3", *TINY)[0] == 0
+                       "--set", "seed=3", *TINY)[0] == 0
             blobs.append((out_dir / "metrics.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
 

@@ -92,7 +92,50 @@ class TestBuild:
             C.apply_overrides({}, ["seed"])
 
 
+SKIP = {"schedule.mode": "skip", "schedule.drop_layers": "3",
+        "schedule.drop_ratios": "0.55", "schedule.skip_target": "5"}
+# One value other than the default for each settable key.
+NON_DEFAULT = {
+    "seed": "7", "precision": "64",
+    "model.depth": "8", "model.heads": "8", "model.embed_dim": "64",
+    "model.ffn_ratio": "2", "model.patch_size": "8", "model.image_size": "64",
+    "model.num_classes": "5", "model.channels": "1",
+    "train.batch_size": "16", "train.epochs": "3", "train.weight_decay": "0.1",
+    "train.learning_rate": "0.002", "train.warmup_lr": "1e-05",
+    "train.lr_warmup_epochs": "2",
+    "dataset.source": "cifar10", "dataset.root": "data/cifar",
+    "dataset.train_n": "100", "dataset.val_n": "10",
+    "schedule.mode": "fuse", "schedule.drop_layers": "2",
+    "schedule.drop_ratios": "0.3", "schedule.skip_target": "4",
+    "schedule.warmup_epochs": "2", "schedule.drop_after_ffn": "true",
+}
+SETTABLE = C.KNOWN_KEYS - {"model.preset", "train.preset", "sweep.arms"}
+
+
+def items_setting(key: str) -> dict:
+    """Items that set ``key`` to its NON_DEFAULT value in a valid config."""
+    if key == "schedule.mode":
+        base = {"schedule.drop_layers": "3", "schedule.drop_ratios": "0.45"}
+    else:
+        base = SKIP if key.startswith("schedule.") else {}
+    return {**base, key: NON_DEFAULT[key]}
+
+
 class TestResolvedRoundTrip:
+    def test_every_settable_key_has_a_value(self):
+        assert set(NON_DEFAULT) == SETTABLE
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_each_key_round_trips(self, tmp_path, key):
+        cfg = C.build(items_setting(key))
+        default = C.resolved_items(C.build({}))
+        assert C.resolved_items(cfg)[key] != default[key]
+        path = tmp_path / "resolved.txt"
+        C.write_resolved(cfg, path)
+        items = C.load_file(path)
+        assert set(items) == SETTABLE
+        assert C.build(items) == cfg
+
     def test_round_trip_is_identity(self, tmp_path):
         cfg = C.build({"model.preset": "desk", "schedule.mode": "skip",
                        "schedule.drop_layers": "3",

@@ -380,6 +380,7 @@ def test_two_stage_partition_and_roundtrip(case, ratio2):
     np.testing.assert_array_equal(merged.positions,
                                   np.tile(np.arange(n + 1), (batch, 1)))
     assert (merged.embeddings.data == emb).all()
+    assert not stash
 
 
 @given(drop_case(), st.integers(min_value=-8, max_value=8))
