@@ -78,12 +78,30 @@ def _load_data(cfg: ExperimentConfig):
 
 
 def _schedule_label(schedule) -> str:
-    if not schedule.stages or schedule.mode == MODE_NONE:
+    if schedule.mode == MODE_NONE:
         return "baseline"
     stages = "+".join(f"{int(round(r * 100))}%@{l}" for l, r in schedule.stages)
     if schedule.mode == MODE_FUSE:
         return f"fuse {stages}"
     return f"skip {stages}->{schedule.skip_target}"
+
+
+def _result_row(cfg: ExperimentConfig, speed: trainer.Throughput,
+                metrics: trainer.RunMetrics | None = None) -> dict:
+    """The result row of train, sweep and bench; bench has no top-1."""
+    return {
+        "schedule": _schedule_label(cfg.schedule),
+        "drop_layers": [l for l, _ in cfg.schedule.stages],
+        "drop_ratios": [r for _, r in cfg.schedule.stages],
+        "skip_target": cfg.schedule.skip_target,
+        "mode": cfg.schedule.mode,
+        "samples_per_sec": speed.samples_per_sec,
+        "measured_saving": speed.saving,
+        "top1": None if metrics is None else metrics.final_val_top1,
+        "train_top1": None if metrics is None else metrics.final_train_top1,
+        "predicted_mac_saving":
+            flops.estimate_flops(cfg.model, cfg.schedule).saving_fraction,
+    }
 
 
 def _run_experiment(cfg: ExperimentConfig, out: Path) -> dict:
@@ -94,19 +112,7 @@ def _run_experiment(cfg: ExperimentConfig, out: Path) -> dict:
         metrics = trainer.train(model, cfg.schedule, cfg.train, train_split,
                                 val_split, out_dir=out)
         speed = trainer.benchmark(model, cfg.schedule, cfg.train)
-    cost = flops.estimate_flops(cfg.model, cfg.schedule)
-    row = {
-        "schedule": _schedule_label(cfg.schedule),
-        "drop_layers": [l for l, _ in cfg.schedule.stages],
-        "drop_ratios": [r for _, r in cfg.schedule.stages],
-        "skip_target": cfg.schedule.skip_target,
-        "mode": cfg.schedule.mode,
-        "samples_per_sec": speed.samples_per_sec,
-        "measured_saving": speed.saving,
-        "top1": metrics.final_val_top1,
-        "train_top1": metrics.final_train_top1,
-        "predicted_mac_saving": cost.saving_fraction,
-    }
+    row = _result_row(cfg, speed, metrics)
     (out / RESULT_FILE).write_text(json.dumps(row, indent=2) + "\n")
     return row
 
@@ -151,16 +157,13 @@ def cmd_bench(args) -> int:
     with T.precision(cfg.precision):
         model = ViT(cfg.model, seed=cfg.seed)
         speed = trainer.benchmark(model, cfg.schedule, cfg.train)
-    predicted = flops.estimate_flops(cfg.model, cfg.schedule).saving_fraction
+    row = _result_row(cfg, speed)
     if args.out:
         out = _prepare_out(cfg, args.out)
-        (out / RESULT_FILE).write_text(json.dumps(
-            {"schedule": _schedule_label(cfg.schedule),
-             "samples_per_sec": speed.samples_per_sec,
-             "measured_saving": speed.saving}, indent=2) + "\n")
-    print(f"{speed.samples_per_sec:.1f} samples/sec "
-          f"({_schedule_label(cfg.schedule)}); saving vs dense: measured "
-          f"{speed.saving:.3f}, predicted MAC {predicted:.3f}")
+        (out / RESULT_FILE).write_text(json.dumps(row, indent=2) + "\n")
+    print(f"{row['samples_per_sec']:.1f} samples/sec ({row['schedule']}); "
+          f"saving vs dense: measured {row['measured_saving']:.3f}, "
+          f"predicted MAC {row['predicted_mac_saving']:.3f}")
     return EXIT_OK
 
 
@@ -228,8 +231,7 @@ def _with_delta(value: float, baseline: float, decimals: int,
 
 def format_report(rows: list) -> str:
     """Comparison table: throughput and top-1 with deltas vs the baseline row."""
-    base = next((r for r in rows if r.get("mode", MODE_NONE) == MODE_NONE),
-                None)
+    base = next((r for r in rows if r.get("mode") == MODE_NONE), None)
     if base is None:
         raise ValueError("no baseline row (schedule mode none) among results")
     header = ["schedule", "samples/sec", "top-1(%)", "MAC saving",
@@ -237,14 +239,15 @@ def format_report(rows: list) -> str:
     table = [header]
     for row in rows:
         top1 = row.get("top1")
+        predicted = row.get("predicted_mac_saving")
         measured = row.get("measured_saving")
         table.append([
             row["schedule"],
             _with_delta(row["samples_per_sec"], base["samples_per_sec"],
                         0, percent=True),
-            "-" if top1 is None else _with_delta(top1, base["top1"], 2,
-                                                 percent=False),
-            f"{row.get('predicted_mac_saving', 0.0):.4f}",
+            "-" if top1 is None or base.get("top1") is None
+            else _with_delta(top1, base["top1"], 2, percent=False),
+            "-" if predicted is None else f"{predicted:.4f}",
             "-" if measured is None else f"{measured:.4f}",
         ])
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]

@@ -43,6 +43,11 @@ class DatasetConfig:
     train_n: int = 4096
     val_n: int = 512
 
+    def __post_init__(self):
+        for name in ("train_n", "val_n"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

@@ -16,8 +16,6 @@ class OptimizerState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
 
 
 class AdamW:
@@ -26,7 +24,9 @@ class AdamW:
         self.params = params
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        self.state = OptimizerState(betas=betas, eps=eps)
+        self.betas = betas
+        self.eps = eps
+        self.state = OptimizerState()
         for name, p in params.items():
             self.state.m[name] = np.zeros_like(p.data)
             self.state.v[name] = np.zeros_like(p.data)
@@ -36,7 +36,7 @@ class AdamW:
         lr = self.learning_rate if lr is None else lr
         s = self.state
         s.step += 1
-        b1, b2 = s.betas
+        b1, b2 = self.betas
         c1 = 1.0 - b1 ** s.step
         c2 = 1.0 - b2 ** s.step
         for name, p in self.params.items():
@@ -59,7 +59,7 @@ class AdamW:
             v += upd
             np.divide(v, c2, out=upd)
             np.sqrt(upd, out=upd)
-            upd += s.eps
+            upd += self.eps
             np.divide(m / c1, upd, out=upd)
             upd += self.weight_decay * p.data
             upd *= lr

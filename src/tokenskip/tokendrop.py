@@ -5,7 +5,7 @@ removes the lowest-ranked fraction after a layer's attention sublayer, parks
 the removed embeddings in a stash, and reinserts them unchanged at their
 original positions in front of a later layer. A fused-token mode replaces the
 dropped set with a single importance-weighted average instead (no reinsertion),
-for baseline comparison.
+for baseline comparison. ``TokenBatch`` holds tokens and their positions.
 """
 
 from __future__ import annotations
@@ -13,13 +13,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .vit import ModelConfig, TokenBatch
+
+if TYPE_CHECKING:
+    from .vit import ModelConfig
 
 log = logging.getLogger(__name__)
 
@@ -34,23 +36,46 @@ FUSED_POSITION = -1
 PAST_WARMUP = 10 ** 9
 
 
+@dataclass
+class TokenBatch:
+    """Token embeddings plus each token's original sequence position.
+
+    ``positions`` is an int array of shape [batch, tokens]; position 0 is the
+    CLS token and is always present. Rows are kept sorted ascending, except
+    that a fused token carries the sentinel position -1 at the end of the row.
+    """
+    embeddings: Tensor
+    positions: np.ndarray
+
+    def __post_init__(self):
+        b, n, _ = self.embeddings.shape
+        if self.positions.shape != (b, n):
+            raise ValueError(
+                f"positions shape {self.positions.shape} does not match "
+                f"{n} tokens in batch of {b}"
+            )
+        if not (self.positions[:, 0] == 0).all():
+            raise ValueError("CLS (position 0) must lead every sequence")
+
+    @property
+    def num_tokens(self) -> int:
+        return self.embeddings.shape[1]
+
+
 @dataclass(frozen=True)
 class DropSchedule:
     """Where, how many, and in which mode tokens are dropped and returned.
 
     ``stages`` pairs drop layers with drop ratios; a ratio applies to the
     patch tokens that are live when its layer runs, so two stages compound.
-    Layer indices are 0-based.
+    Layer indices are 0-based. ``DropSchedule()`` (mode none) is the dense
+    schedule; it has no stages and no skip target.
     """
     stages: tuple = ()
     skip_target: Optional[int] = None
     mode: str = MODE_NONE
     warmup_epochs: int = 0
     drop_after_ffn: bool = False
-
-    @classmethod
-    def none(cls) -> "DropSchedule":
-        return cls()
 
     @classmethod
     def single(cls, drop_layer: int, ratio: float, skip_target: int,
@@ -81,8 +106,14 @@ def validate(schedule: DropSchedule, config: ModelConfig) -> None:
         raise ValueError(f"mode must be none/skip/fuse, got {schedule.mode!r}")
     if schedule.warmup_epochs < 0:
         raise ValueError(f"warmup_epochs must be >= 0, got {schedule.warmup_epochs}")
+    if schedule.mode != MODE_SKIP and schedule.skip_target is not None:
+        raise ValueError(f"skip_target: mode {schedule.mode} takes no skip target")
     if schedule.mode == MODE_NONE:
+        if schedule.stages:
+            raise ValueError("drop_layers: mode none takes no drop stage")
         return
+    if not schedule.stages:
+        raise ValueError(f"drop_layers: mode {schedule.mode} needs a drop stage")
     layers = [layer for layer, _ in schedule.stages]
     for layer, ratio in schedule.stages:
         if not 0 <= ratio < 1:
@@ -96,6 +127,8 @@ def validate(schedule: DropSchedule, config: ModelConfig) -> None:
             )
     if any(b <= a for a, b in zip(layers, layers[1:])):
         raise ValueError(f"drop_layers must be strictly increasing, got {layers}")
+    if schedule.mode == MODE_FUSE and len(schedule.stages) > 1:
+        raise ValueError("fuse mode supports a single drop stage")
     if schedule.mode == MODE_SKIP:
         if schedule.skip_target is None:
             raise ValueError("skip_target: required when mode is skip")
@@ -103,16 +136,11 @@ def validate(schedule: DropSchedule, config: ModelConfig) -> None:
             raise ValueError(
                 f"skip_target {schedule.skip_target} >= depth {config.depth}"
             )
-        if layers and schedule.skip_target <= max(layers):
+        if schedule.skip_target <= max(layers):
             raise ValueError(
                 f"skip_target {schedule.skip_target} must come after the last "
                 f"drop layer {max(layers)}"
             )
-    else:  # fuse
-        if schedule.skip_target is not None:
-            raise ValueError("skip_target: must be none when mode is fuse")
-        if len(schedule.stages) > 1:
-            raise ValueError("fuse mode supports a single drop stage")
 
 
 def plan(schedule: DropSchedule, config: ModelConfig,

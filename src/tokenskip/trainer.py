@@ -38,9 +38,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("batch_size", 1), ("epochs", 1),
+                          ("lr_warmup_epochs", 0), ("weight_decay", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("learning_rate", "warmup_lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -243,18 +244,16 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
     return metrics
 
 
-def evaluate(model: ViT, split: Split, schedule: Optional[DropSchedule] = None,
+def evaluate(model: ViT, split: Split, schedule: DropSchedule = DropSchedule(),
              epoch: int = PAST_WARMUP, batch_size: int = 64) -> float:
-    """Top-1 accuracy (%) over a split.
+    """Top-1 accuracy (%) over a split, dense unless a schedule is given.
 
-    By default the drop schedule stays active (epoch past warm-up), matching
-    the training-time topology; pass schedule=None for plain evaluation.
+    A given schedule stays active (epoch past warm-up), matching the
+    training-time topology.
     """
     n = len(split)
     if n == 0:
         raise ValueError("cannot evaluate an empty split")
-    if schedule is None:
-        schedule = DropSchedule.none()
     _keep_heap()
     correct = 0
     with T.no_grad():
@@ -292,7 +291,7 @@ def benchmark(model: ViT, schedule: DropSchedule,
                               c.image_size)).astype(np.float32)
     labels = rng.integers(0, c.num_classes, size=cfg.batch_size)
     opt = AdamW(model.params, 0.0)
-    arms = (DropSchedule.none(), schedule)
+    arms = (DropSchedule(), schedule)
     order = [0, 1]  # one warm-up step per arm
     for _ in range(_BENCHMARK_PAIRS):
         order += (0, 1) if rng.integers(2) == 0 else (1, 0)

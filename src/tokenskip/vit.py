@@ -1,8 +1,9 @@
 """Small pre-norm Vision Transformer built on the tensor engine.
 
-The attention sublayer returns its post-softmax scores beside the token batch,
-so the forward pass can run the token-dropping machinery in ``tokendrop``
-between the attention and FFN sublayers.
+The forward pass runs a ``tokendrop.DropSchedule`` (dense by default) on the
+``tokendrop.TokenBatch`` of each image batch. The attention sublayer returns
+its post-softmax scores beside the token batch, so the schedule's drops can
+run between the attention and FFN sublayers.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import tensor as T
+from . import tensor as T, tokendrop
 from .tensor import Tensor
+from .tokendrop import DropSchedule, TokenBatch
 
 
 @dataclass(frozen=True)
@@ -65,32 +67,6 @@ MODEL_PRESETS = {
 
 
 @dataclass
-class TokenBatch:
-    """Token embeddings plus each token's original sequence position.
-
-    ``positions`` is an int array of shape [batch, tokens]; position 0 is the
-    CLS token and is always present. Rows are kept sorted ascending, except
-    that a fused token carries the sentinel position -1 at the end of the row.
-    """
-    embeddings: Tensor
-    positions: np.ndarray
-
-    def __post_init__(self):
-        b, n, _ = self.embeddings.shape
-        if self.positions.shape != (b, n):
-            raise ValueError(
-                f"positions shape {self.positions.shape} does not match "
-                f"{n} tokens in batch of {b}"
-            )
-        if not (self.positions[:, 0] == 0).all():
-            raise ValueError("CLS (position 0) must lead every sequence")
-
-    @property
-    def num_tokens(self) -> int:
-        return self.embeddings.shape[1]
-
-
-@dataclass
 class ForwardDiagnostics:
     attn_tokens: list = field(default_factory=list)   # tokens at each layer's attention
     kept_patches: dict = field(default_factory=dict)  # drop layer -> kept patch count
@@ -138,10 +114,6 @@ class ViT:
         const("ln_f.b", (c.embed_dim,), 0.0)
         normal("head.w", (c.embed_dim, c.num_classes))
         const("head.b", (c.num_classes,), 0.0)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
 
     def patchify(self, images) -> TokenBatch:
         """Split images into patch tokens, project, prepend CLS, add positions."""
@@ -215,12 +187,8 @@ class ViT:
         h = T.layernorm(cls, self.params["ln_f.g"], self.params["ln_f.b"])
         return T.matmul(h, self.params["head.w"], self.params["head.b"])
 
-    def forward(self, images, schedule=None, epoch: int = 0):
+    def forward(self, images, schedule=DropSchedule(), epoch: int = 0):
         """Full forward pass executing the schedule's per-layer token plan."""
-        from . import tokendrop
-
-        if schedule is None:
-            schedule = tokendrop.DropSchedule.none()
         stash = []  # (positions, embeddings) pairs awaiting reinsertion
         diag = ForwardDiagnostics()
 
@@ -242,14 +210,10 @@ class ViT:
         return logits, diag
 
     def _apply_drop(self, tokens, scores, step, stash, layer, diag):
-        from . import tokendrop
-
         importance = tokendrop.cls_importance(scores)
         keep_pos, drop_pos = tokendrop.select_topk(importance.data, step.ratio,
                                                    tokens.positions[:, 1:])
         diag.kept_patches[layer] = keep_pos.shape[1]
-        if drop_pos.shape[1] == 0:
-            return tokens
         if step.fused:
             return tokendrop.fuse_into(tokens, importance, keep_pos, drop_pos)
         return tokendrop.split(tokens, keep_pos, drop_pos, stash)

@@ -105,11 +105,11 @@ def test_criterion_02_mechanism_off_equivalence():
         model = ViT(config, seed=3)
         rng = np.random.default_rng(1)
         images = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
-        plain, _ = model.forward(images, DropSchedule.none(), epoch=0)
+        plain, _ = model.forward(images, DropSchedule(), epoch=0)
         zero_ratio = DropSchedule.single(1, 0.0, skip_target=3)
         warming_up = DropSchedule.single(1, 0.5, skip_target=3,
                                          warmup_epochs=5)
-        for schedule, epoch in [(DropSchedule.none(), 7),
+        for schedule, epoch in [(DropSchedule(), 7),
                                 (zero_ratio, 7), (warming_up, 0),
                                 (warming_up, 4)]:
             logits, _ = model.forward(images, schedule, epoch=epoch)
@@ -240,7 +240,7 @@ def test_criterion_06_overfit_smoke():
         model = ViT(DESK, seed=0)
         cfg = TrainConfig(batch_size=16, epochs=100, learning_rate=1e-3,
                           weight_decay=0.0, lr_warmup_epochs=2, seed=0)
-        metrics = trainer.train(model, DropSchedule.none(), cfg, split,
+        metrics = trainer.train(model, DropSchedule(), cfg, split,
                                 max_steps=400, stop_at_train_top1=99.0)
         steps = len(metrics.step_losses)
         top1 = metrics.final_train_top1
@@ -286,7 +286,7 @@ def test_criterion_08_accuracy_parity():
             "synthetic", seed=0, synthetic_n=256, synthetic_val_n=128)
         epochs = 8
         arms = {
-            "baseline": DropSchedule.none(),
+            "baseline": DropSchedule(),
             "skip": DropSchedule.single(3, 0.55, skip_target=5,
                                         warmup_epochs=2),
             "fused": DropSchedule.fused(3, 0.45, warmup_epochs=2),

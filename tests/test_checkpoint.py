@@ -30,10 +30,10 @@ def test_round_trip_preserves_forward_output(tmp_path):
     model = ViT(TINY, seed=3)
     rng = np.random.default_rng(0)
     images = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
-    logits, _ = model.forward(images, DropSchedule.none())
+    logits, _ = model.forward(images, DropSchedule())
     checkpoint.save(model, tmp_path / "m.ckpt")
     loaded = checkpoint.load(tmp_path / "m.ckpt")
-    logits2, _ = loaded.forward(images, DropSchedule.none())
+    logits2, _ = loaded.forward(images, DropSchedule())
     np.testing.assert_array_equal(logits.data, logits2.data)
 
 

@@ -10,6 +10,10 @@ from tokenskip.vit import MODEL_PRESETS, ViT
 TINY = ["--set", "model.preset=tiny", "--set", "dataset.train_n=24",
         "--set", "dataset.val_n=8", "--set", "train.batch_size=8",
         "--set", "train.epochs=1"]
+# Tiny at depth 4 holds a skip schedule: drop half at layer 1, back at 3.
+TINY4 = [*TINY, "--set", "model.depth=4"]
+SKIP = ["--set", "schedule.mode=skip", "--set", "schedule.drop_layers=1",
+        "--set", "schedule.drop_ratios=0.5", "--set", "schedule.skip_target=3"]
 
 
 def run(capsys, *argv):
@@ -61,6 +65,35 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert f"{key.split('.')[1]} must be >= 1, got 0" in err
         assert "top-1" not in out and not out_dir.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("train.lr_warmup_epochs", "-1"), ("train.weight_decay", "-0.5"),
+        ("dataset.train_n", "-5"), ("dataset.val_n", "-3")])
+    def test_negative_value_is_exit_1_before_training(self, capsys, tmp_path,
+                                                     key, value):
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "train", "--out", str(out_dir), *TINY,
+                             "--set", f"{key}={value}")
+        assert code == cli.EXIT_CONFIG
+        assert f"{key.split('.')[1]} must be >= 0, got {value}" in err
+        assert "top-1" not in out and not out_dir.exists()
+
+    @pytest.mark.parametrize("schedule,key", [
+        (["schedule.drop_layers=3", "schedule.drop_ratios=0.55"],
+         "drop_layers"),
+        (["schedule.skip_target=5"], "skip_target"),
+        (["schedule.mode=skip", "schedule.skip_target=5"], "drop_layers"),
+        (["schedule.mode=fuse"], "drop_layers")],
+        ids=["stages_without_mode", "skip_target_without_mode",
+             "skip_without_stage", "fuse_without_stage"])
+    def test_mode_and_stages_must_agree(self, capsys, tmp_path, schedule,
+                                        key):
+        out_dir = tmp_path / "flops"
+        sets = [arg for entry in schedule for arg in ("--set", entry)]
+        code, out, err = run(capsys, "flops", "--out", str(out_dir), *sets)
+        assert code == cli.EXIT_CONFIG
+        assert key in err
+        assert "saving" not in out and not out_dir.exists()
 
     def test_missing_checkpoint_is_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--checkpoint",
@@ -163,6 +196,34 @@ class TestSweepAndReport:
         assert code == 0
         assert "(+0.00%)" in out  # baseline throughput delta vs itself
 
+    def test_report_finds_baseline_among_bench_rows(self, capsys, tmp_path):
+        skip, base = tmp_path / "skip", tmp_path / "base"
+        assert run(capsys, "bench", "--out", str(skip), *TINY4, *SKIP)[0] == 0
+        assert run(capsys, "bench", "--out", str(base), *TINY4)[0] == 0
+        code, out, _ = run(capsys, "report", str(skip), str(base))
+        assert code == 0
+        skip_line, base_line = out.splitlines()[3:]
+        assert skip_line.startswith("skip 50%@1->3")
+        assert base_line.startswith("baseline") and "(+0.00%)" in base_line
+        # schedule, samples/sec, top-1, MAC saving, measured saving
+        assert skip_line.split()[3] == base_line.split()[2] == "-"
+        assert float(skip_line.split()[4]) > 0
+        assert base_line.split()[3] == "0.0000"
+
+    def test_report_bench_baseline_against_trained_run(self, capsys,
+                                                       tmp_path):
+        base, skip = tmp_path / "base", tmp_path / "skip"
+        assert run(capsys, "bench", "--out", str(base), *TINY4)[0] == 0
+        assert run(capsys, "train", "--out", str(skip), *TINY4, *SKIP)[0] == 0
+        bench_row = json.loads((base / "result.json").read_text())
+        train_row = json.loads((skip / "result.json").read_text())
+        assert bench_row.keys() == train_row.keys()
+        assert bench_row["mode"] == "none" and bench_row["top1"] is None
+        code, out, _ = run(capsys, "report", str(base), str(skip))
+        assert code == 0
+        base_line, skip_line = out.splitlines()[3:]
+        assert base_line.split()[2] == skip_line.split()[3] == "-"
+
     def test_report_requires_baseline(self, capsys, tmp_path):
         row = {"schedule": "skip 50%@1->3", "mode": "skip",
                "samples_per_sec": 10.0, "top1": 50.0,
@@ -192,6 +253,17 @@ class TestReportFormatting:
         assert header.endswith("MAC saving  measured saving")
         assert base.split()[-2:] == ["0.0000", "-"]
         assert skip.split()[-2:] == ["0.2500", "0.1234"]
+
+    def test_row_without_mode_is_not_the_baseline(self):
+        # A bench row as older versions wrote it: no mode, top-1 or MAC saving.
+        rows = [{"schedule": "skip 55%@3->5", "samples_per_sec": 120.0,
+                 "measured_saving": 0.1},
+                {"schedule": "baseline", "mode": "none",
+                 "samples_per_sec": 100.0, "top1": 10.0,
+                 "predicted_mac_saving": 0.0}]
+        old, base = cli.format_report(rows).splitlines()[3:]
+        assert old.split()[2:] == ["120(+20.00%)", "-", "-", "0.1000"]
+        assert "100(+0.00%)" in base
 
     def test_baseline_only(self):
         rows = [{"schedule": "baseline", "mode": "none",

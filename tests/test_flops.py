@@ -16,14 +16,14 @@ def cfg(depth, **kw):
 def test_tiny_hand_example():
     # D=8, one layer, 5 tokens: attention 4*5*64 + 2*25*8, FFN 8*5*64.
     config = cfg(1, heads=2, embed_dim=8)
-    report = estimate_flops(config, DropSchedule.none())
+    report = estimate_flops(config, DropSchedule())
     layer = report.layers[0]
     assert layer.attention_macs == 1680
     assert layer.ffn_macs == 2560
 
 
 def test_schedule_none_saving_zero():
-    report = estimate_flops(cfg(4), DropSchedule.none())
+    report = estimate_flops(cfg(4), DropSchedule())
     assert report.saving_fraction == 0.0
     assert report.schedule_total == report.baseline_total
 
@@ -42,7 +42,7 @@ def test_paper_shape_saving_is_positive():
 
 
 SCHEDULES = {
-    "none": lambda depth: DropSchedule.none(),
+    "none": lambda depth: DropSchedule(),
     "single": lambda depth: DropSchedule.single(
         max(1, depth // 2), 0.55, depth - 1),
     "two-stage": lambda depth: DropSchedule(
@@ -74,5 +74,5 @@ def test_estimate_matches_instrumented_counter(depth, name, after_ffn):
 def test_estimate_matches_counter_single_layer():
     config = cfg(1)
     model = ViT(config, seed=1)
-    report = estimate_flops(config, DropSchedule.none())
-    assert report.schedule_total == measure_forward_macs(model, DropSchedule.none())
+    report = estimate_flops(config, DropSchedule())
+    assert report.schedule_total == measure_forward_macs(model, DropSchedule())

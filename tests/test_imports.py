@@ -1,0 +1,47 @@
+"""Import structure of the package: modules import each other at module level,
+never inside a function, and ``tokendrop`` needs ``vit`` only for type
+annotations."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tokenskip
+
+SOURCES = sorted(Path(tokenskip.__file__).parent.glob("*.py"))
+
+
+def _is_package_import(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").startswith("tokenskip")
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("tokenskip") for a in node.names)
+    return False
+
+
+def _is_type_checking(node) -> bool:
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+            and node.test.id == "TYPE_CHECKING")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_local_package_import(path):
+    tree = ast.parse(path.read_text())
+    local = [f"{fn.name}:{node.lineno}"
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if _is_package_import(node)]
+    assert local == []
+
+
+def test_tokendrop_imports_vit_only_for_type_checking():
+    path = Path(tokenskip.__file__).parent / "tokendrop.py"
+    tree = ast.parse(path.read_text())
+    # Module-level statements outside ``if TYPE_CHECKING:`` run on import.
+    runtime = {node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom)}
+    assert "vit" not in runtime
+    guarded = [node for block in tree.body if _is_type_checking(block)
+               for node in block.body]
+    assert [node.module for node in guarded] == ["vit"]

@@ -218,7 +218,7 @@ class TestValidate:
             td.validate(td.DropSchedule.single(6, 1.0, 11), self.CFG)
 
     def test_none_mode_always_valid(self):
-        td.validate(td.DropSchedule.none(), self.CFG)
+        td.validate(td.DropSchedule(), self.CFG)
 
 
 def _plan_matrix(depth, warmup):
@@ -284,7 +284,7 @@ class TestPlan:
                 assert [i for i, s in enumerate(steps)
                         if s.reinsert] == seen["reinsert"]
                 # Dense before warm-up; afterwards every stage drops.
-                dense = td.plan(td.DropSchedule.none(), self.CFG)
+                dense = td.plan(td.DropSchedule(), self.CFG)
                 hot = epoch >= schedule.warmup_epochs and bool(schedule.stages)
                 assert (steps != dense) == hot
                 assert set(diag.kept_patches) == (

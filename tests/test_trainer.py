@@ -35,7 +35,7 @@ def tiny_cfg(**kw):
 class TestTrain:
     def test_smoke_run_writes_outputs(self, tmp_path):
         model = ViT(TINY, seed=1)
-        metrics = trainer.train(model, DropSchedule.none(), tiny_cfg(),
+        metrics = trainer.train(model, DropSchedule(), tiny_cfg(),
                                 tiny_split(), tiny_split(1, 8),
                                 out_dir=tmp_path)
         assert len(metrics.epochs) == 2
@@ -63,13 +63,13 @@ class TestTrain:
         split.labels[:] = 1
         with np.errstate(over="ignore"), pytest.raises(
                 RuntimeError, match="non-finite loss inf at epoch 0 step 0"):
-            trainer.train(model, DropSchedule.none(), tiny_cfg(), split)
+            trainer.train(model, DropSchedule(), tiny_cfg(), split)
 
     def test_same_seed_metrics_are_byte_identical(self, tmp_path):
         out = []
         for run in ("a", "b"):
             model = ViT(TINY, seed=2)
-            trainer.train(model, DropSchedule.none(), tiny_cfg(),
+            trainer.train(model, DropSchedule(), tiny_cfg(),
                           tiny_split(), out_dir=tmp_path / run)
             out.append((tmp_path / run / "metrics.jsonl").read_bytes())
         assert out[0] == out[1]
@@ -78,21 +78,21 @@ class TestTrain:
         out = []
         for seed in (0, 1):
             model = ViT(TINY, seed=2)
-            trainer.train(model, DropSchedule.none(), tiny_cfg(seed=seed),
+            trainer.train(model, DropSchedule(), tiny_cfg(seed=seed),
                           tiny_split(), out_dir=tmp_path / str(seed))
             out.append((tmp_path / str(seed) / "metrics.jsonl").read_bytes())
         assert out[0] != out[1]
 
     def test_max_steps_truncates(self):
         model = ViT(TINY, seed=0)
-        metrics = trainer.train(model, DropSchedule.none(),
+        metrics = trainer.train(model, DropSchedule(),
                                 tiny_cfg(epochs=10), tiny_split(),
                                 max_steps=4)
         assert len(metrics.step_losses) == 4
 
     def test_stop_at_train_top1(self):
         model = ViT(TINY, seed=0)
-        metrics = trainer.train(model, DropSchedule.none(),
+        metrics = trainer.train(model, DropSchedule(),
                                 tiny_cfg(epochs=50), tiny_split(),
                                 stop_at_train_top1=0.0)
         assert len(metrics.epochs) == 1
@@ -104,7 +104,7 @@ class TestTrain:
         assert cfg.train.batch_size == 288
         model = ViT(TINY, seed=0)
         small = dataclasses.replace(cfg.train, batch_size=8, epochs=1)
-        metrics = trainer.train(model, DropSchedule.none(), small, tiny_split())
+        metrics = trainer.train(model, DropSchedule(), small, tiny_split())
         assert len(metrics.epochs) == 1
 
     def test_invalid_schedule_is_rejected(self):
@@ -122,7 +122,7 @@ class TestTrain:
         monkeypatch.setattr(trainer, "_train_step", no_step)
         model = ViT(TINY, seed=0)
         with pytest.raises(ValueError, match="split"):
-            trainer.train(model, DropSchedule.none(), tiny_cfg(), tiny_split(),
+            trainer.train(model, DropSchedule(), tiny_cfg(), tiny_split(),
                           tiny_split().subset(0), out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
@@ -142,7 +142,7 @@ class TestEvaluate:
         model = ViT(TINY, seed=4)
         split = tiny_split(3, 20)
         acc = trainer.evaluate(model, split, batch_size=7)
-        logits, _ = model.forward(split.images, DropSchedule.none())
+        logits, _ = model.forward(split.images, DropSchedule())
         expected = 100.0 * (logits.data.argmax(axis=1) == split.labels).mean()
         assert acc == pytest.approx(expected)
 
@@ -150,13 +150,13 @@ class TestEvaluate:
         model = ViT(TINY, seed=4)
         split = tiny_split(3, 8)
         assert trainer.evaluate(model, split) == trainer.evaluate(
-            model, split, DropSchedule.none())
+            model, split, DropSchedule())
 
 
 class TestBenchmark:
     def test_returns_positive_rate(self):
         model = ViT(TINY, seed=0)
-        speed = trainer.benchmark(model, DropSchedule.none(),
+        speed = trainer.benchmark(model, DropSchedule(),
                                   tiny_cfg(batch_size=4))
         assert speed.samples_per_sec > 0 and speed.dense_samples_per_sec > 0
         assert np.isfinite(speed.saving)
@@ -164,7 +164,7 @@ class TestBenchmark:
     def test_leaves_weights_untouched(self):
         model = ViT(TINY, seed=0)
         before = {k: p.data.copy() for k, p in model.params.items()}
-        trainer.benchmark(model, DropSchedule.none(), tiny_cfg(batch_size=4))
+        trainer.benchmark(model, DropSchedule(), tiny_cfg(batch_size=4))
         for k, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[k])
 
@@ -176,7 +176,7 @@ class TestBenchmark:
         model.params["head.b"].data[0] = 3e38
         with np.errstate(over="ignore"), pytest.raises(
                 RuntimeError, match="non-finite loss inf"):
-            trainer.benchmark(model, DropSchedule.none(), tiny_cfg(batch_size=4))
+            trainer.benchmark(model, DropSchedule(), tiny_cfg(batch_size=4))
 
 
 # Fresh process: warm evaluate, measure it, then warm train and measure it,

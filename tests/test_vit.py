@@ -180,7 +180,7 @@ class TestForward:
         model = ViT(SMALL, seed=6)
         imgs = images_for(SMALL)
         plain, _ = model.forward(imgs)
-        explicit, _ = model.forward(imgs, DropSchedule.none())
+        explicit, _ = model.forward(imgs, DropSchedule())
         assert (plain.data == explicit.data).all()
 
     def test_ratio_zero_bit_identical(self):
