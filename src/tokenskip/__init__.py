@@ -1,13 +1,12 @@
 """Desk-scale ViT training laboratory with attention-guided token skipping."""
 
-from .tensor import Tensor, precision, set_precision
+from .tensor import Tensor, precision
 from .tokendrop import DropSchedule
 from .vit import MODEL_PRESETS, ModelConfig, TokenBatch, ViT
 
 __all__ = [
     "Tensor",
     "precision",
-    "set_precision",
     "DropSchedule",
     "ModelConfig",
     "MODEL_PRESETS",

@@ -212,10 +212,16 @@ def _load_result_rows(paths) -> list:
         if not path.exists():
             raise FileNotFoundError(f"no result file at {path}")
         text = path.read_text()
-        if path.suffix == ".jsonl":
-            rows.extend(json.loads(line) for line in text.splitlines() if line)
-        else:
-            rows.append(json.loads(text))
+        lines = ([line for line in text.splitlines() if line]
+                 if path.suffix == ".jsonl" else [text])
+        for row in map(json.loads, lines):
+            if not (isinstance(row, dict) and "schedule" in row
+                    and isinstance(row.get("samples_per_sec"), (int, float))
+                    and row["samples_per_sec"] > 0):
+                raise ValueError(
+                    f"{path}: a result row is a JSON object with a schedule and "
+                    f"a positive samples_per_sec, got {row!r}")
+            rows.append(row)
     return rows
 
 

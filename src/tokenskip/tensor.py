@@ -4,8 +4,8 @@ Tensors wrap contiguous numpy arrays. Differentiable operations record their
 inputs and a backward closure; calling ``backward`` on a scalar loss walks the
 recorded graph in reverse topological order and accumulates gradients into
 every reachable tensor that requires them. Float32 is the default precision;
-float64 can be selected (globally or via the ``precision`` context manager)
-for tight gradient verification.
+float64 can be selected with the ``precision`` context manager for tight
+gradient verification.
 
 Gradient ownership. Backward closures hand gradients to ``_accumulate``
 without copying them. An array passed with ``own=True`` is freshly allocated
@@ -36,17 +36,6 @@ _MAC_COUNTER = None
 _GRAD_ENABLED = True
 
 
-def set_precision(bits: int) -> None:
-    """Set the global default scalar width (32 or 64)."""
-    global _DEFAULT_DTYPE
-    if bits == 32:
-        _DEFAULT_DTYPE = np.float32
-    elif bits == 64:
-        _DEFAULT_DTYPE = np.float64
-    else:
-        raise ValueError(f"precision must be 32 or 64, got {bits}")
-
-
 def default_dtype():
     return _DEFAULT_DTYPE
 
@@ -65,10 +54,12 @@ def no_grad():
 
 @contextmanager
 def precision(bits: int):
-    """Temporarily switch the default precision (used by verification tests)."""
+    """Switch the default scalar width (32 or 64) inside the block."""
     global _DEFAULT_DTYPE
+    if bits not in (32, 64):
+        raise ValueError(f"precision must be 32 or 64, got {bits}")
     saved = _DEFAULT_DTYPE
-    set_precision(bits)
+    _DEFAULT_DTYPE = np.float32 if bits == 32 else np.float64
     try:
         yield
     finally:
@@ -454,11 +445,15 @@ def gelu(t: Tensor) -> Tensor:
 
 
 def _row_index(idx, rows: int) -> np.ndarray:
-    """Validate an index array against an axis of ``rows`` entries."""
+    """Validate an index into ``rows`` entries: in range, distinct per row."""
     idx = np.asarray(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
         raise IndexError(f"row index {bad} out of range for {rows} rows")
+    srt = np.sort(idx, axis=-1)
+    repeats = srt[..., 1:][srt[..., 1:] == srt[..., :-1]]
+    if repeats.size:
+        raise ValueError(f"row index {int(repeats[0])} repeats")
     return idx
 
 
@@ -474,27 +469,20 @@ def _batch_rows(t: Tensor, idx):
 
 
 def gather_rows(t: Tensor, idx) -> Tensor:
-    """Select rows per sample: [B, N, D] with idx [k] or [B, k] -> [B, k, D]."""
+    """Select distinct rows per sample: [B, N, D], idx [k] or [B, k] -> [B, k, D]."""
     brange, idx = _batch_rows(t, idx)
     out = t.data[brange, idx]
-    # np.add.at is slow; rows unique within each sample allow plain fancy
-    # assignment into the zero accumulator.
-    srt = np.sort(idx, axis=1)
-    unique = bool((np.diff(srt, axis=1) > 0).all())
 
     def backward(g):
         acc = np.zeros_like(t.data)
-        if unique:
-            acc[brange, idx] = g
-        else:
-            np.add.at(acc, (brange, idx), g)
+        acc[brange, idx] = g
         _accumulate(t, acc, own=True)
 
     return _make(out, (t,), backward)
 
 
 def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
-    """Place rows into a copy of base at the given indices.
+    """Place rows into a copy of base at the given (distinct) indices.
 
     Gradients flow through the scattered rows; base positions that were
     overwritten receive no gradient. Index shapes mirror gather_rows.
@@ -513,18 +501,16 @@ def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
 
 
 def take(t: Tensor, idx, axis: int) -> Tensor:
-    """Index one axis by a list of positions (gradient scatter-adds back)."""
+    """Index one axis by a 1-d list of distinct positions."""
     idx = _row_index(idx, t.shape[axis])
+    if idx.ndim != 1:
+        raise ValueError(f"take needs a 1-d index, got shape {list(idx.shape)}")
     out = np.take(t.data, idx, axis=axis)
-    unique = idx.ndim == 1 and np.unique(idx).size == idx.size
 
     def backward(g):
-        acc = np.zeros_like(np.moveaxis(t.data, axis, 0))
-        if unique:
-            acc[idx] = np.moveaxis(g, axis, 0)
-        else:
-            np.add.at(acc, idx, np.moveaxis(g, axis, 0))
-        _accumulate(t, np.moveaxis(acc, 0, axis), own=True)
+        acc = np.zeros_like(t.data)
+        np.moveaxis(acc, axis, 0)[idx] = np.moveaxis(g, axis, 0)
+        _accumulate(t, acc, own=True)
 
     return _make(out, (t,), backward)
 

@@ -3,9 +3,10 @@
 The drop path ranks patch tokens by the head-averaged CLS attention row,
 removes the lowest-ranked fraction after a layer's attention sublayer, parks
 the removed embeddings in a stash, and reinserts them unchanged at their
-original positions in front of a later layer. A fused-token mode replaces the
-dropped set with a single importance-weighted average instead (no reinsertion),
-for baseline comparison. ``TokenBatch`` holds tokens and their positions.
+original positions in front of a later layer; each way checks the positions
+once and moves rows only by gathers. A fused-token mode replaces the dropped
+set with a single importance-weighted average instead (no reinsertion), for
+baseline comparison. ``TokenBatch`` holds tokens and their positions.
 """
 
 from __future__ import annotations
@@ -220,40 +221,29 @@ def select_topk(scores: np.ndarray, ratio: float,
     return np.sort(keep_pos, axis=1), np.sort(drop_pos, axis=1)
 
 
-def _position_lut(positions: np.ndarray) -> np.ndarray:
-    """Map original position -> current row index, per sample (-1 = absent)."""
+def _partition(positions: np.ndarray, keep_pos: np.ndarray,
+               drop_pos: np.ndarray):
+    """Live rows (CLS, keep set), live positions and dropped rows of a partition.
+
+    Equal sorted positions prove the partition; the two sort orders then map
+    each claimed position to its row.
+    """
     b, n = positions.shape
-    size = int(positions.max()) + 1
-    lut = np.full((b, size), -1, dtype=np.int64)
-    lut[np.arange(b)[:, None], positions] = np.arange(n)
-    return lut
-
-
-def _gather_partition(tokens: TokenBatch, keep_pos: np.ndarray,
-                      drop_pos: np.ndarray):
-    """Live (CLS + keep set) rows and positions, dropped rows and row indices."""
-    b = tokens.positions.shape[0]
-    lut = _position_lut(tokens.positions)
-    brange = np.arange(b)[:, None]
     live_pos = np.concatenate([np.zeros((b, 1), dtype=keep_pos.dtype), keep_pos],
                               axis=1)
-    drop_idx = lut[brange, drop_pos]
-    live = T.gather_rows(tokens.embeddings, lut[brange, live_pos])
-    return live, live_pos, T.gather_rows(tokens.embeddings, drop_idx), drop_idx
-
-
-def _check_partition(positions: np.ndarray, keep_pos: np.ndarray,
-                     drop_pos: np.ndarray) -> None:
-    b = positions.shape[0]
-    claimed = np.concatenate(
-        [np.zeros((b, 1), dtype=positions.dtype), keep_pos, drop_pos], axis=1)
-    if claimed.shape[1] != positions.shape[1]:
+    claimed = np.concatenate([live_pos, drop_pos], axis=1)
+    if claimed.shape[1] != n:
         raise ValueError(
-            f"keep/drop cover {claimed.shape[1]} positions, live batch has "
-            f"{positions.shape[1]}"
-        )
-    if not (np.sort(claimed, axis=1) == np.sort(positions, axis=1)).all():
+            f"keep/drop cover {claimed.shape[1]} positions, live batch has {n}")
+    by_claim = np.argsort(claimed, axis=1)
+    by_row = np.argsort(positions, axis=1)
+    if not (np.take_along_axis(claimed, by_claim, axis=1)
+            == np.take_along_axis(positions, by_row, axis=1)).all():
         raise ValueError("keep/drop sets do not partition the live positions")
+    rows = np.empty_like(by_row)
+    np.put_along_axis(rows, by_claim, by_row, axis=1)
+    live = live_pos.shape[1]
+    return rows[:, :live], live_pos, rows[:, live:]
 
 
 def split(tokens: TokenBatch, keep_pos: np.ndarray, drop_pos: np.ndarray,
@@ -265,31 +255,32 @@ def split(tokens: TokenBatch, keep_pos: np.ndarray, drop_pos: np.ndarray,
     both into the kept path and, via the stash, into the dropped path once it
     is reinserted.
     """
-    _check_partition(tokens.positions, keep_pos, drop_pos)
+    live_idx, live_pos, drop_idx = _partition(tokens.positions, keep_pos,
+                                              drop_pos)
     if drop_pos.shape[1] == 0:
         return tokens
-    live, live_pos, dropped, _ = _gather_partition(tokens, keep_pos, drop_pos)
-    stash.append((drop_pos.copy(), dropped))
+    live = T.gather_rows(tokens.embeddings, live_idx)
+    stash.append((drop_pos.copy(), T.gather_rows(tokens.embeddings, drop_idx)))
     return TokenBatch(live, live_pos)
 
 
 def reinsert(tokens: TokenBatch, stash: list) -> TokenBatch:
-    """Merge every stashed pair back at its original positions (then clear it)."""
+    """Merge every stashed pair back at its original positions (then clear it).
+
+    One sort of the live and stashed positions both checks that they cover
+    0..n exactly and orders their rows for a single gather.
+    """
     if not stash:
         return tokens
-    b, _, d = tokens.embeddings.shape
-    all_pos = np.concatenate([tokens.positions] + [pos for pos, _ in stash],
-                             axis=1)
-    total = all_pos.shape[1]
-    expected = np.tile(np.arange(total), (b, 1))
-    if not (np.sort(all_pos, axis=1) == expected).all():
+    positions = np.concatenate([tokens.positions] + [pos for pos, _ in stash],
+                               axis=1)
+    order = np.argsort(positions, axis=1)
+    restored = np.take_along_axis(positions, order, axis=1)
+    if not (restored == np.arange(positions.shape[1])).all():
         raise ValueError("live and stashed positions do not cover 0..n exactly")
-    base = Tensor(np.zeros((b, total, d), dtype=tokens.embeddings.dtype))
-    out = T.scatter_rows(base, tokens.positions, tokens.embeddings)
-    for positions, embeddings in stash:
-        out = T.scatter_rows(out, positions, embeddings)
+    rows = T.concat([tokens.embeddings] + [emb for _, emb in stash], axis=1)
     stash.clear()
-    return TokenBatch(out, expected)
+    return TokenBatch(T.gather_rows(rows, order), restored)
 
 
 def fuse(dropped_embeddings: Tensor, dropped_importance: Tensor) -> Tensor:
@@ -315,9 +306,10 @@ def fuse(dropped_embeddings: Tensor, dropped_importance: Tensor) -> Tensor:
 def fuse_into(tokens: TokenBatch, importance: Tensor, keep_pos: np.ndarray,
               drop_pos: np.ndarray) -> TokenBatch:
     """Replace the drop set with a single fused token appended to the live batch."""
-    _check_partition(tokens.positions, keep_pos, drop_pos)
-    live, live_pos, dropped, drop_idx = _gather_partition(tokens, keep_pos,
-                                                          drop_pos)
+    live_idx, live_pos, drop_idx = _partition(tokens.positions, keep_pos,
+                                              drop_pos)
+    live = T.gather_rows(tokens.embeddings, live_idx)
+    dropped = T.gather_rows(tokens.embeddings, drop_idx)
     # Importance is indexed by patch slot; token row i is patch slot i - 1.
     b, k = drop_pos.shape
     imp3 = T.reshape(importance, importance.shape + (1,))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,8 +39,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "warmup_lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name, low in (("batch_size", 1), ("epochs", 1),
-                          ("lr_warmup_epochs", 0), ("weight_decay", 0)):
+                          ("lr_warmup_epochs", 0), ("weight_decay", 0),
+                          ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("learning_rate", "warmup_lr"):

@@ -68,14 +68,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value", [
         ("train.lr_warmup_epochs", "-1"), ("train.weight_decay", "-0.5"),
-        ("dataset.train_n", "-5"), ("dataset.val_n", "-3")])
+        ("dataset.train_n", "-5"), ("dataset.val_n", "-3"), ("seed", "-1"),
+        ("train.learning_rate", "nan"), ("train.weight_decay", "inf")])
     def test_negative_value_is_exit_1_before_training(self, capsys, tmp_path,
                                                      key, value):
         out_dir = tmp_path / "run"
         code, out, err = run(capsys, "train", "--out", str(out_dir), *TINY,
                              "--set", f"{key}={value}")
         assert code == cli.EXIT_CONFIG
-        assert f"{key.split('.')[1]} must be >= 0, got {value}" in err
+        bound = "finite" if value in ("nan", "inf") else ">= 0"
+        assert f"{key.split('.')[-1]} must be {bound}, got {value}" in err
         assert "top-1" not in out and not out_dir.exists()
 
     @pytest.mark.parametrize("schedule,key", [
@@ -233,6 +235,21 @@ class TestSweepAndReport:
         code, _, err = run(capsys, "report", str(path))
         assert code == cli.EXIT_CONFIG
         assert "baseline" in err
+
+    @pytest.mark.parametrize("row", [
+        [1, 2], 3,
+        {"mode": "none", "samples_per_sec": 10.0},
+        {"schedule": "baseline", "mode": "none"},
+        {"schedule": "baseline", "mode": "none", "samples_per_sec": 0}],
+        ids=["list", "number", "no_schedule", "no_samples_per_sec",
+             "zero_baseline_rate"])
+    def test_malformed_row_is_exit_1(self, capsys, tmp_path, row):
+        path = tmp_path / "result.json"
+        path.write_text(json.dumps(row))
+        code, out, err = run(capsys, "report", str(path))
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(f"error: {path}: a result row is a JSON object")
+        assert f"got {row!r}" in err and out == ""
 
 
 class TestReportFormatting:

@@ -12,9 +12,8 @@ from tokenskip.tensor import Tensor
 
 @pytest.fixture(autouse=True)
 def _float64():
-    T.set_precision(64)
-    yield
-    T.set_precision(32)
+    with T.precision(64):
+        yield
 
 
 def _param(value):

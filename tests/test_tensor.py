@@ -113,6 +113,21 @@ def test_gather_out_of_range_index():
         T.gather_rows(Tensor(np.zeros((2, 4, 2))), [[0, 1], [0, 7]])
 
 
+@pytest.mark.parametrize("op,match", [
+    (lambda: T.gather_rows(Tensor(np.zeros((2, 3, 1))), [2, 0, 2]), "repeats"),
+    (lambda: T.scatter_rows(Tensor(np.zeros((1, 3, 1))), [[1, 1]],
+                            Tensor(np.ones((1, 2, 1)), requires_grad=True)),
+     "repeats"),
+    (lambda: T.take(Tensor(np.zeros((2, 3))), [0, 2, 0], axis=1), "repeats"),
+    (lambda: T.take(Tensor(np.zeros((2, 3))), [[0, 1]], axis=1), "1-d")],
+    ids=["gather_rows", "scatter_rows", "take", "take_2d"])
+def test_row_index_must_be_distinct(op, match):
+    # A repeated row needs an accumulating gradient (scatter_rows at [[1, 1]]
+    # owes rows.grad [0, 1]); the row ops reject it instead.
+    with pytest.raises(ValueError, match=match):
+        op()
+
+
 def test_scatter_gradient_only_through_scattered_rows():
     base = Tensor(np.ones((2, 4, 2)), requires_grad=True)
     rows = Tensor(np.ones((2, 2, 2)), requires_grad=True)

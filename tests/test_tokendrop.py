@@ -123,15 +123,23 @@ class TestSplitReinsert:
             td.reinsert(batch, stash)
 
     def test_two_stage_partition(self):
-        emb = np.arange(15.0).reshape(1, 5, 3)
-        batch = batch_from(emb)
+        emb = Tensor(np.arange(15.0).reshape(1, 5, 3), requires_grad=True)
+        batch = TokenBatch(emb, np.arange(5)[None, :])
         stash = []
         live = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash)
         live = td.split(live, np.array([[1]]), np.array([[3]]), stash)
+        assert len(stash) == 2
         stashed = np.sort(stashed_positions(stash), axis=1)
         np.testing.assert_array_equal(stashed, [[2, 3, 4]])
         merged = td.reinsert(live, stash)
-        assert (merged.embeddings.data == emb).all()
+        np.testing.assert_array_equal(merged.positions, [[0, 1, 2, 3, 4]])
+        assert (merged.embeddings.data == emb.data).all()
+        assert not stash
+        # A distinct gradient per row: each pre-split row gets back its own,
+        # through the live path (rows 0, 1) and both stash entries (2-4).
+        upstream = np.arange(1.0, 16.0).reshape(1, 5, 3)
+        T.tensor_sum(T.mul(merged.embeddings, Tensor(upstream))).backward()
+        np.testing.assert_array_equal(emb.grad, upstream)
 
     def test_gradients_flow_through_both_paths(self):
         emb = Tensor(np.arange(15.0).reshape(1, 5, 3), requires_grad=True)
