@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import checkpoint, config as cfgmod, data, flops, tensor as T, trainer
+from . import checkpoint, config as cfgmod, data, flops, trainer
 from .config import ConfigError, ExperimentConfig
 from .tokendrop import MODE_FUSE, MODE_NONE
 from .vit import ViT
@@ -54,7 +54,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _items(args) -> dict:
-    """Config items from --config, then --set (seed and precision included)."""
+    """Config items from --config, then --set (seed included)."""
     items = cfgmod.load_file(args.config) if args.config else {}
     return cfgmod.apply_overrides(items, args.overrides)
 
@@ -106,12 +106,11 @@ def _result_row(cfg: ExperimentConfig, speed: trainer.Throughput,
 
 def _run_experiment(cfg: ExperimentConfig, out: Path) -> dict:
     """Train one configuration, then benchmark it; returns a result row."""
-    with T.precision(cfg.precision):
-        train_split, val_split = _load_data(cfg)
-        model = ViT(cfg.model, seed=cfg.seed)
-        metrics = trainer.train(model, cfg.schedule, cfg.train, train_split,
-                                val_split, out_dir=out)
-        speed = trainer.benchmark(model, cfg.schedule, cfg.train)
+    train_split, val_split = _load_data(cfg)
+    model = ViT(cfg.model, seed=cfg.seed)
+    metrics = trainer.train(model, cfg.schedule, cfg.train, train_split,
+                            val_split, out_dir=out)
+    speed = trainer.benchmark(model, cfg.schedule, cfg.train)
     row = _result_row(cfg, speed, metrics)
     (out / RESULT_FILE).write_text(json.dumps(row, indent=2) + "\n")
     return row
@@ -140,12 +139,11 @@ def _check_geometry(model: ViT, cfg: ExperimentConfig) -> None:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
-    with T.precision(cfg.precision):
-        model = checkpoint.load(args.checkpoint)
-        _check_geometry(model, cfg)
-        _, val_split = _load_data(cfg)
-        top1 = trainer.evaluate(model, val_split, cfg.schedule,
-                                batch_size=cfg.train.batch_size)
+    model = checkpoint.load(args.checkpoint)
+    _check_geometry(model, cfg)
+    _, val_split = _load_data(cfg)
+    top1 = trainer.evaluate(model, val_split, cfg.schedule,
+                            batch_size=cfg.train.batch_size)
     if args.out:
         _prepare_out(cfg, args.out)
     print(f"top-1: {top1:.2f}%")
@@ -154,9 +152,8 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _resolve(args)
-    with T.precision(cfg.precision):
-        model = ViT(cfg.model, seed=cfg.seed)
-        speed = trainer.benchmark(model, cfg.schedule, cfg.train)
+    model = ViT(cfg.model, seed=cfg.seed)
+    speed = trainer.benchmark(model, cfg.schedule, cfg.train)
     row = _result_row(cfg, speed)
     if args.out:
         out = _prepare_out(cfg, args.out)
@@ -214,7 +211,11 @@ def _load_result_rows(paths) -> list:
         text = path.read_text()
         lines = ([line for line in text.splitlines() if line]
                  if path.suffix == ".jsonl" else [text])
-        for row in map(json.loads, lines):
+        try:
+            file_rows = [json.loads(line) for line in lines]
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        for row in file_rows:
             if not (isinstance(row, dict) and "schedule" in row
                     and isinstance(row.get("samples_per_sec"), (int, float))
                     and row["samples_per_sec"] > 0):

@@ -5,7 +5,8 @@ comments. Arrays are comma-separated. The keys are the fields of
 ``ModelConfig``, ``TrainConfig``, ``DatasetConfig`` and ``DropSchedule``
 (sections model, train, dataset, schedule), the model and train presets, the
 stages as schedule.drop_layers and schedule.drop_ratios, and the top-level
-seed and precision. An empty value leaves a key unset. Example::
+seed. An empty value leaves a key unset. Runs are float32; float64 is the
+``tensor.precision(64)`` context of the gradient checks, not a key. Example::
 
     model.preset = desk
     schedule.mode = skip
@@ -56,11 +57,6 @@ class ExperimentConfig:
     schedule: DropSchedule
     train: TrainConfig
     dataset: DatasetConfig
-    precision: int = 32
-
-    def __post_init__(self):
-        if self.precision not in (32, 64):
-            raise ConfigError(f"precision must be 32 or 64, got {self.precision}")
 
     @property
     def seed(self) -> int:
@@ -144,7 +140,7 @@ _KEYS = {section: {name: kind for name, kind in _types(type(default)).items()
          for section, (_, default) in _SECTIONS.items()}
 
 KNOWN_KEYS = (
-    {"seed", "precision", "sweep.arms", "schedule.drop_layers",
+    {"seed", "sweep.arms", "schedule.drop_layers",
      "schedule.drop_ratios"}
     | {f"{section}.preset" for section, (presets, _) in _SECTIONS.items()
        if presets}
@@ -208,9 +204,7 @@ def build(items: dict[str, str]) -> ExperimentConfig:
     schedule = dataclasses.replace(_build_section("schedule", items),
                                    stages=_stages(items))
     tokendrop.validate(schedule, model)
-    return _replace(ExperimentConfig(model, schedule, train, dataset),
-                    {"precision": items.get("precision")},
-                    _types(ExperimentConfig))
+    return ExperimentConfig(model, schedule, train, dataset)
 
 
 def sweep_arms(items: dict[str, str]) -> list[tuple[str, ExperimentConfig]]:
@@ -253,7 +247,7 @@ def resolved_items(cfg: ExperimentConfig) -> dict[str, str]:
     stages = cfg.schedule.stages
     items = {"schedule.drop_layers": ",".join(str(l) for l, _ in stages),
              "schedule.drop_ratios": ",".join(str(r) for _, r in stages),
-             "seed": fmt(cfg.seed), "precision": fmt(cfg.precision)}
+             "seed": fmt(cfg.seed)}
     for section, types in _KEYS.items():
         for name in types:
             items[f"{section}.{name}"] = fmt(getattr(getattr(cfg, section), name))

@@ -1,7 +1,8 @@
 """Attention-guided token dropping with positional skip-connection reinsertion.
 
 The drop path ranks patch tokens by the head-averaged CLS attention row,
-removes the lowest-ranked fraction after a layer's attention sublayer, parks
+removes the lowest-ranked fraction between a layer's attention and FFN
+sublayers (so the FFN of that layer already runs on fewer tokens), parks
 the removed embeddings in a stash, and reinserts them unchanged at their
 original positions in front of a later layer; each way checks the positions
 once and moves rows only by gathers. A fused-token mode replaces the dropped
@@ -76,7 +77,6 @@ class DropSchedule:
     skip_target: Optional[int] = None
     mode: str = MODE_NONE
     warmup_epochs: int = 0
-    drop_after_ffn: bool = False
 
     @classmethod
     def single(cls, drop_layer: int, ratio: float, skip_target: int,
@@ -95,7 +95,7 @@ class DropSchedule:
 class LayerPlan:
     """Token topology of one layer, as ``plan`` derives it from a schedule."""
     attn_tokens: int                # tokens entering the attention sublayer
-    ffn_tokens: int                 # tokens entering the FFN sublayer
+    ffn_tokens: int                 # tokens entering the FFN, after any drop
     ratio: Optional[float] = None   # drop ratio of this layer's stage, if any
     fused: int = 0                  # dropped tokens fused into one token here
     reinsert: bool = False          # merge the stash back before attention
@@ -173,8 +173,7 @@ def plan(schedule: DropSchedule, config: ModelConfig,
                 n += 1
             else:
                 stashed += dropped
-        ffn_n = attn_n if ratio is None or schedule.drop_after_ffn else n
-        layers.append(LayerPlan(attn_n, ffn_n, ratio, fused, reinsert))
+        layers.append(LayerPlan(attn_n, n, ratio, fused, reinsert))
     return layers
 
 

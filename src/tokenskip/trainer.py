@@ -166,6 +166,13 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
                          f"full batch of {cfg.batch_size}")
     if val_split is not None and len(val_split) == 0:
         raise ValueError("validation split is empty")
+    c = model.config
+    shape = [c.channels, c.image_size, c.image_size]
+    for name, split in (("train", train_split), ("validation", val_split)):
+        if split is not None and list(split.images.shape[1:]) != shape:
+            raise ValueError(f"{name} split images are "
+                             f"{list(split.images.shape[1:])}, the model "
+                             f"takes {shape}")
     _keep_heap()
     opt = AdamW(model.params, cfg.learning_rate, cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)

@@ -2,8 +2,8 @@
 
 The forward pass runs a ``tokendrop.DropSchedule`` (dense by default) on the
 ``tokendrop.TokenBatch`` of each image batch. The attention sublayer returns
-its post-softmax scores beside the token batch, so the schedule's drops can
-run between the attention and FFN sublayers.
+its post-softmax scores beside the token batch, and a drop layer drops
+between its attention and FFN sublayers, so the dropped tokens skip the FFN.
 """
 
 from __future__ import annotations
@@ -199,21 +199,16 @@ class ViT:
                 tokens = tokendrop.reinsert(tokens, stash)
             diag.attn_tokens.append(tokens.num_tokens)
             tokens, scores = self.attention_block(tokens, layer)
-            if step.ratio is not None and not schedule.drop_after_ffn:
-                tokens = self._apply_drop(tokens, scores, step, stash, layer,
-                                          diag)
+            if step.ratio is not None:
+                importance = tokendrop.cls_importance(scores)
+                keep_pos, drop_pos = tokendrop.select_topk(
+                    importance.data, step.ratio, tokens.positions[:, 1:])
+                diag.kept_patches[layer] = keep_pos.shape[1]
+                if step.fused:
+                    tokens = tokendrop.fuse_into(tokens, importance, keep_pos,
+                                                 drop_pos)
+                else:
+                    tokens = tokendrop.split(tokens, keep_pos, drop_pos, stash)
             tokens = self.ffn_block(tokens, layer)
-            if step.ratio is not None and schedule.drop_after_ffn:
-                tokens = self._apply_drop(tokens, scores, step, stash, layer,
-                                          diag)
         logits = self.classify(tokens)
         return logits, diag
-
-    def _apply_drop(self, tokens, scores, step, stash, layer, diag):
-        importance = tokendrop.cls_importance(scores)
-        keep_pos, drop_pos = tokendrop.select_topk(importance.data, step.ratio,
-                                                   tokens.positions[:, 1:])
-        diag.kept_patches[layer] = keep_pos.shape[1]
-        if step.fused:
-            return tokendrop.fuse_into(tokens, importance, keep_pos, drop_pos)
-        return tokendrop.split(tokens, keep_pos, drop_pos, stash)

@@ -23,10 +23,17 @@ def run(capsys, *argv):
 
 
 class TestExitCodes:
-    def test_config_error_is_exit_1(self, capsys):
-        code, _, err = run(capsys, "flops", "--set", "model.width=3")
-        assert code == cli.EXIT_CONFIG
-        assert "model.width" in err
+    def test_config_error_is_exit_1(self, capsys, tmp_path):
+        # An unknown key, and each key that was removed, fail before output.
+        for entry in ("model.width=3", "precision=64",
+                      "schedule.drop_after_ffn=true"):
+            out_dir = tmp_path / entry
+            code, out, err = run(capsys, "train", "--out", str(out_dir),
+                                 *TINY, "--set", entry)
+            assert code == cli.EXIT_CONFIG
+            key = entry.split("=")[0]
+            assert f"unknown config key {key!r}" in err
+            assert "top-1" not in out and not out_dir.exists()
 
     def test_invalid_schedule_is_exit_1(self, capsys):
         code, _, err = run(capsys, "flops", "--set", "schedule.mode=skip",
@@ -45,8 +52,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("split", [
         ["--set", "dataset.val_n=0"],
-        ["--set", "dataset.train_n=2", "--set", "train.batch_size=4"]],
-        ids=["empty_val", "train_below_one_batch"])
+        ["--set", "dataset.train_n=2", "--set", "train.batch_size=4"],
+        ["--set", "model.channels=1"]],
+        ids=["empty_val", "train_below_one_batch", "channels_mismatch"])
     def test_unusable_split_is_exit_1(self, capsys, tmp_path, split):
         out_dir = tmp_path / "run"
         code, out, err = run(capsys, "train", "--out", str(out_dir), *TINY,
@@ -54,7 +62,7 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "top-1" not in out and "split" in err
         metrics = out_dir / "metrics.jsonl"
-        assert not metrics.exists() or metrics.read_text() == ""
+        assert not metrics.exists()
 
     @pytest.mark.parametrize("key", ["model.heads", "model.patch_size",
                                      "train.epochs"])
@@ -250,6 +258,13 @@ class TestSweepAndReport:
         assert code == cli.EXIT_CONFIG
         assert err.startswith(f"error: {path}: a result row is a JSON object")
         assert f"got {row!r}" in err and out == ""
+
+    def test_truncated_json_is_exit_1_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "result.json"
+        path.write_text('{"schedule": ')
+        code, out, err = run(capsys, "report", str(path))
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(f"error: {path}: Expecting value") and out == ""
 
 
 class TestReportFormatting:

@@ -25,7 +25,7 @@ class TestBuild:
         assert cfg.model.depth == 6 and cfg.model.embed_dim == 128
         assert cfg.schedule.mode == MODE_NONE
         assert cfg.dataset.source == "synthetic"
-        assert cfg.seed == 0 and cfg.precision == 32
+        assert cfg.seed == 0
 
     def test_preset_with_overrides(self):
         cfg = C.build({"model.preset": "tiny", "model.depth": "4",
@@ -81,10 +81,6 @@ class TestBuild:
                      "schedule.drop_ratios": "0.5",
                      "schedule.skip_target": "5"})
 
-    def test_bad_precision(self):
-        with pytest.raises(C.ConfigError, match="precision"):
-            C.build({"precision": "16"})
-
     def test_overrides_helper(self):
         items = C.apply_overrides({"seed": "1"}, ["seed=4", "model.depth=3"])
         assert items == {"seed": "4", "model.depth": "3"}
@@ -96,7 +92,7 @@ SKIP = {"schedule.mode": "skip", "schedule.drop_layers": "3",
         "schedule.drop_ratios": "0.55", "schedule.skip_target": "5"}
 # One value other than the default for each settable key.
 NON_DEFAULT = {
-    "seed": "7", "precision": "64",
+    "seed": "7",
     "model.depth": "8", "model.heads": "8", "model.embed_dim": "64",
     "model.ffn_ratio": "2", "model.patch_size": "8", "model.image_size": "64",
     "model.num_classes": "5", "model.channels": "1",
@@ -107,7 +103,7 @@ NON_DEFAULT = {
     "dataset.train_n": "100", "dataset.val_n": "10",
     "schedule.mode": "fuse", "schedule.drop_layers": "2",
     "schedule.drop_ratios": "0.3", "schedule.skip_target": "4",
-    "schedule.warmup_epochs": "2", "schedule.drop_after_ffn": "true",
+    "schedule.warmup_epochs": "2",
 }
 SETTABLE = C.KNOWN_KEYS - {"model.preset", "train.preset", "sweep.arms"}
 
@@ -141,8 +137,7 @@ class TestResolvedRoundTrip:
                        "schedule.drop_layers": "3",
                        "schedule.drop_ratios": "0.55",
                        "schedule.skip_target": "5", "seed": "7",
-                       "train.epochs": "2",
-                       "schedule.drop_after_ffn": "true"})
+                       "train.epochs": "2"})
         path = tmp_path / "resolved.txt"
         C.write_resolved(cfg, path)
         again = C.build(C.load_file(path))

@@ -54,16 +54,10 @@ SCHEDULES = {
 
 @pytest.mark.parametrize("depth", [2, 12])
 @pytest.mark.parametrize("name", list(SCHEDULES))
-@pytest.mark.parametrize("after_ffn", [False, True])
-def test_estimate_matches_instrumented_counter(depth, name, after_ffn):
+def test_estimate_matches_instrumented_counter(depth, name):
     if depth == 2 and name != "none":
         pytest.skip("depth 2 admits no drop layer (layer 0 and the final layer are excluded)")
     schedule = SCHEDULES[name](depth)
-    if after_ffn:
-        schedule = DropSchedule(stages=schedule.stages,
-                                skip_target=schedule.skip_target,
-                                mode=schedule.mode,
-                                drop_after_ffn=True)
     config = cfg(depth)
     model = ViT(config, seed=0)
     report = estimate_flops(config, schedule)

@@ -229,6 +229,62 @@ def test_steady_steps_fault_no_pages_in():
     assert train < 200, f"{train} minor faults per train call"
 
 
+# Fresh process: train desk skip 0.55@3->5 for one epoch into argv[1], then
+# print the OpenBLAS thread count it ran with ("unknown" where unreadable).
+_BLAS_PROBE = textwrap.dedent("""
+    import ctypes, glob, os, sys
+    import numpy as np
+    from tokenskip import cli, config, trainer
+    from tokenskip.vit import ViT
+
+    cfg = config.build({
+        "model.preset": "desk", "schedule.mode": "skip",
+        "schedule.drop_layers": "3", "schedule.drop_ratios": "0.55",
+        "schedule.skip_target": "5", "dataset.train_n": "256",
+        "dataset.val_n": "64", "train.epochs": "1", "train.batch_size": "32",
+        "seed": "7"})
+    train_split, val_split = cli._load_data(cfg)
+    model = ViT(cfg.model, seed=cfg.seed)
+    trainer.train(model, cfg.schedule, cfg.train, train_split, val_split,
+                  out_dir=sys.argv[1])
+
+    def blas_threads():
+        libs = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                            "numpy.libs")
+        for path in glob.glob(os.path.join(libs, "*openblas*")):
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads64_",
+                         "openblas_get_num_threads64_",
+                         "openblas_get_num_threads"):
+                if hasattr(lib, name):
+                    return getattr(lib, name)()
+        return "unknown"
+
+    print(blas_threads())
+""")
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(trainer.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(out)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        ran_with = proc.stdout.split()[-1]
+        if ran_with == "unknown":
+            pytest.skip("the OpenBLAS thread count cannot be read")
+        assert int(ran_with) == threads
+        outputs[threads] = [(out / name).read_bytes()
+                            for name in (trainer.METRICS_FILE, "model.ckpt")]
+    assert outputs[1] == outputs[2]
+
+
 class _FakeLibc:
     def __init__(self, accepts):
         self.calls = []
