@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from . import tokendrop
+from . import data, tokendrop
 from .tokendrop import DropSchedule
 from .trainer import TRAIN_PRESETS, TrainConfig
 from .vit import MODEL_PRESETS, ModelConfig
@@ -45,6 +45,9 @@ class DatasetConfig:
     val_n: int = 512
 
     def __post_init__(self):
+        if self.source not in data.SOURCES:
+            raise ValueError(f"source must be one of {', '.join(data.SOURCES)}, "
+                             f"got {self.source!r}")
         for name in ("train_n", "val_n"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -95,16 +98,8 @@ def apply_overrides(items: dict[str, str], overrides) -> dict[str, str]:
     return merged
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
-
-
 def _coerce(key: str, value: str, kind):
     try:
-        if kind is bool:
-            if value.lower() not in _BOOL:
-                raise ValueError(value)
-            return _BOOL[value.lower()]
         return kind(value)
     except ValueError as exc:
         raise ConfigError(
@@ -240,8 +235,6 @@ def resolved_items(cfg: ExperimentConfig) -> dict[str, str]:
     """Flatten a config back into the textual key space, fully expanded."""
 
     def fmt(value):
-        if isinstance(value, bool):
-            return "true" if value else "false"
         return "" if value is None else str(value)
 
     stages = cfg.schedule.stages

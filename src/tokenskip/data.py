@@ -12,6 +12,8 @@ CIFAR_RECORD_BYTES = 1 + 3 * 32 * 32
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILE = "test_batch.bin"
 
+SOURCES = ("synthetic", "cifar10")
+
 # Environment variable naming the dataset root directory.
 DATA_ROOT_ENV = "TOKENSKIP_DATA_ROOT"
 
@@ -127,6 +129,9 @@ def load_dataset(source: str, root=None, *, seed: int = 0,
             raise FileNotFoundError(
                 f"cifar10 needs a dataset root (set {DATA_ROOT_ENV} or dataset.root)"
             )
+        if classes != 10:
+            raise ValueError(f"cifar10 has 10 classes, model.num_classes is "
+                             f"{classes}")
         train, val = load_cifar10(root)
     elif source == "synthetic":
         train = synthetic(seed, synthetic_n, classes, image_size)

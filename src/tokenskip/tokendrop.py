@@ -4,10 +4,14 @@ The drop path ranks patch tokens by the head-averaged CLS attention row,
 removes the lowest-ranked fraction between a layer's attention and FFN
 sublayers (so the FFN of that layer already runs on fewer tokens), parks
 the removed embeddings in a stash, and reinserts them unchanged at their
-original positions in front of a later layer; each way checks the positions
-once and moves rows only by gathers. A fused-token mode replaces the dropped
-set with a single importance-weighted average instead (no reinsertion), for
-baseline comparison. ``TokenBatch`` holds tokens and their positions.
+original positions in front of a later layer. Ranking and gathers name a
+token by its row in the live batch; positions serve only as the stash's
+return address and the fused token's sentinel. The split checks once that
+the keep and drop rows partition the patch rows, reinsertion checks once
+that the positions cover the sequence, and rows move only by gathers. A
+fused-token mode replaces the dropped set with a single importance-weighted
+average instead (no reinsertion), for baseline comparison. ``TokenBatch``
+holds tokens and their positions.
 """
 
 from __future__ import annotations
@@ -43,8 +47,11 @@ class TokenBatch:
     """Token embeddings plus each token's original sequence position.
 
     ``positions`` is an int array of shape [batch, tokens]; position 0 is the
-    CLS token and is always present. Rows are kept sorted ascending, except
-    that a fused token carries the sentinel position -1 at the end of the row.
+    CLS token and is always present. Rows are kept sorted ascending by
+    position, except that a fused token carries the sentinel position -1 at
+    the end of the row. So ranking patch rows with ties toward the lower row
+    breaks ties toward the lower position; the fused token is never ranked,
+    as fuse mode has a single drop stage.
     """
     embeddings: Tensor
     positions: np.ndarray
@@ -78,18 +85,6 @@ class DropSchedule:
     mode: str = MODE_NONE
     warmup_epochs: int = 0
 
-    @classmethod
-    def single(cls, drop_layer: int, ratio: float, skip_target: int,
-               warmup_epochs: int = 0) -> "DropSchedule":
-        return cls(stages=((drop_layer, ratio),), skip_target=skip_target,
-                   mode=MODE_SKIP, warmup_epochs=warmup_epochs)
-
-    @classmethod
-    def fused(cls, drop_layer: int, ratio: float,
-              warmup_epochs: int = 0) -> "DropSchedule":
-        return cls(stages=((drop_layer, ratio),), skip_target=None,
-                   mode=MODE_FUSE, warmup_epochs=warmup_epochs)
-
 
 @dataclass(frozen=True)
 class LayerPlan:
@@ -119,8 +114,10 @@ def validate(schedule: DropSchedule, config: ModelConfig) -> None:
     for layer, ratio in schedule.stages:
         if not 0 <= ratio < 1:
             raise ValueError(f"drop ratio must be in [0, 1), got {ratio}")
-        if layer == 0:
-            raise ValueError("drop_layers: dropping at layer 0 is not allowed")
+        if layer < 1:
+            raise ValueError(
+                f"drop_layers: cannot drop at layer {layer}; drops start after "
+                "layer 0")
         if layer >= config.depth - 1:
             raise ValueError(
                 f"drop_layers: layer {layer} too late for depth {config.depth} "
@@ -197,70 +194,50 @@ def keep_count_for(patch_count: int, ratio: float) -> int:
     return math.ceil(patch_count * (1.0 - ratio))
 
 
-def select_topk(scores: np.ndarray, ratio: float,
-                patch_positions: np.ndarray):
-    """Partition patch positions into keep/drop sets by importance scores.
+def select_topk(scores: np.ndarray, ratio: float):
+    """Partition the live patch rows into keep/drop sets by importance.
 
-    Per-sample selection; ties broken toward the lower original position so
-    the ordering is total. Both returned arrays are sorted ascending by
-    position, shapes [batch, keep] and [batch, drop].
+    ``scores`` [batch, patches] rank the live patch rows 1..patches in order.
+    Per-sample selection; a stable sort breaks ties toward the lower row,
+    which is the lower original position because live rows are kept sorted
+    by position (see ``TokenBatch``). Returns 1-based rows of the live batch,
+    each set sorted ascending, shapes [batch, keep] and [batch, drop].
     """
     if not 0 <= ratio < 1:
         raise ValueError(f"drop ratio must be in [0, 1), got {ratio}")
-    if scores.shape != patch_positions.shape:
+    keep = keep_count_for(scores.shape[1], ratio)
+    order = np.argsort(-scores, axis=1, kind="stable") + 1
+    return np.sort(order[:, :keep], axis=1), np.sort(order[:, keep:], axis=1)
+
+
+def _live_rows(tokens: TokenBatch, keep: np.ndarray,
+               drop: np.ndarray) -> np.ndarray:
+    """CLS row 0 and the keep rows, once keep and drop partition rows 1..n-1."""
+    b, n = tokens.positions.shape
+    claimed = np.sort(np.concatenate([keep, drop], axis=1), axis=1)
+    if claimed.shape != (b, n - 1) or (claimed != np.arange(1, n)).any():
         raise ValueError(
-            f"importance shape {scores.shape} does not match patch positions "
-            f"{patch_positions.shape}"
-        )
-    count = patch_positions.shape[1]
-    keep = keep_count_for(count, ratio)
-    order = np.lexsort((patch_positions, -scores), axis=-1)
-    keep_pos = np.take_along_axis(patch_positions, order[:, :keep], axis=1)
-    drop_pos = np.take_along_axis(patch_positions, order[:, keep:], axis=1)
-    return np.sort(keep_pos, axis=1), np.sort(drop_pos, axis=1)
+            f"keep/drop rows do not partition the live patch rows 1..{n - 1}")
+    return np.concatenate([np.zeros((b, 1), dtype=keep.dtype), keep], axis=1)
 
 
-def _partition(positions: np.ndarray, keep_pos: np.ndarray,
-               drop_pos: np.ndarray):
-    """Live rows (CLS, keep set), live positions and dropped rows of a partition.
-
-    Equal sorted positions prove the partition; the two sort orders then map
-    each claimed position to its row.
-    """
-    b, n = positions.shape
-    live_pos = np.concatenate([np.zeros((b, 1), dtype=keep_pos.dtype), keep_pos],
-                              axis=1)
-    claimed = np.concatenate([live_pos, drop_pos], axis=1)
-    if claimed.shape[1] != n:
-        raise ValueError(
-            f"keep/drop cover {claimed.shape[1]} positions, live batch has {n}")
-    by_claim = np.argsort(claimed, axis=1)
-    by_row = np.argsort(positions, axis=1)
-    if not (np.take_along_axis(claimed, by_claim, axis=1)
-            == np.take_along_axis(positions, by_row, axis=1)).all():
-        raise ValueError("keep/drop sets do not partition the live positions")
-    rows = np.empty_like(by_row)
-    np.put_along_axis(rows, by_claim, by_row, axis=1)
-    live = live_pos.shape[1]
-    return rows[:, :live], live_pos, rows[:, live:]
-
-
-def split(tokens: TokenBatch, keep_pos: np.ndarray, drop_pos: np.ndarray,
+def split(tokens: TokenBatch, keep: np.ndarray, drop: np.ndarray,
           stash: list) -> TokenBatch:
-    """Remove the drop set from the live batch, stashing it for reinsertion.
+    """Remove the drop rows from the live batch, stashing them for reinsertion.
 
     ``stash`` is a list of (positions [batch, k], embeddings [batch, k, d])
-    pairs; the dropped set is appended to it. Differentiable: gradients flow
-    both into the kept path and, via the stash, into the dropped path once it
-    is reinserted.
+    pairs; the dropped rows are appended to it with their positions as the
+    return address. Differentiable: gradients flow both into the kept path
+    and, via the stash, into the dropped path once it is reinserted.
     """
-    live_idx, live_pos, drop_idx = _partition(tokens.positions, keep_pos,
-                                              drop_pos)
-    if drop_pos.shape[1] == 0:
+    live_rows = _live_rows(tokens, keep, drop)
+    if drop.shape[1] == 0:
         return tokens
-    live = T.gather_rows(tokens.embeddings, live_idx)
-    stash.append((drop_pos.copy(), T.gather_rows(tokens.embeddings, drop_idx)))
-    return TokenBatch(live, live_pos)
+    live = T.gather_rows(tokens.embeddings, live_rows)
+    stash.append((np.take_along_axis(tokens.positions, drop, axis=1),
+                  T.gather_rows(tokens.embeddings, drop)))
+    return TokenBatch(live, np.take_along_axis(tokens.positions, live_rows,
+                                               axis=1))
 
 
 def reinsert(tokens: TokenBatch, stash: list) -> TokenBatch:
@@ -302,19 +279,19 @@ def fuse(dropped_embeddings: Tensor, dropped_importance: Tensor) -> Tensor:
     return T.matmul(T.reshape(weights, (b, 1, k)), dropped_embeddings)
 
 
-def fuse_into(tokens: TokenBatch, importance: Tensor, keep_pos: np.ndarray,
-              drop_pos: np.ndarray) -> TokenBatch:
-    """Replace the drop set with a single fused token appended to the live batch."""
-    live_idx, live_pos, drop_idx = _partition(tokens.positions, keep_pos,
-                                              drop_pos)
-    live = T.gather_rows(tokens.embeddings, live_idx)
-    dropped = T.gather_rows(tokens.embeddings, drop_idx)
+def fuse_into(tokens: TokenBatch, importance: Tensor, keep: np.ndarray,
+              drop: np.ndarray) -> TokenBatch:
+    """Replace the drop rows with a single fused token appended to the live batch."""
+    live_rows = _live_rows(tokens, keep, drop)
+    live = T.gather_rows(tokens.embeddings, live_rows)
+    dropped = T.gather_rows(tokens.embeddings, drop)
     # Importance is indexed by patch slot; token row i is patch slot i - 1.
-    b, k = drop_pos.shape
+    b, k = drop.shape
     imp3 = T.reshape(importance, importance.shape + (1,))
-    dropped_imp = T.reshape(T.gather_rows(imp3, drop_idx - 1), (b, k))
+    dropped_imp = T.reshape(T.gather_rows(imp3, drop - 1), (b, k))
     fused = fuse(dropped, dropped_imp)
     merged = T.concat([live, fused], axis=1)
+    live_pos = np.take_along_axis(tokens.positions, live_rows, axis=1)
     positions = np.concatenate(
         [live_pos, np.full((b, 1), FUSED_POSITION, dtype=live_pos.dtype)], axis=1)
     return TokenBatch(merged, positions)

@@ -201,14 +201,12 @@ class ViT:
             tokens, scores = self.attention_block(tokens, layer)
             if step.ratio is not None:
                 importance = tokendrop.cls_importance(scores)
-                keep_pos, drop_pos = tokendrop.select_topk(
-                    importance.data, step.ratio, tokens.positions[:, 1:])
-                diag.kept_patches[layer] = keep_pos.shape[1]
+                keep, drop = tokendrop.select_topk(importance.data, step.ratio)
+                diag.kept_patches[layer] = keep.shape[1]
                 if step.fused:
-                    tokens = tokendrop.fuse_into(tokens, importance, keep_pos,
-                                                 drop_pos)
+                    tokens = tokendrop.fuse_into(tokens, importance, keep, drop)
                 else:
-                    tokens = tokendrop.split(tokens, keep_pos, drop_pos, stash)
+                    tokens = tokendrop.split(tokens, keep, drop, stash)
             tokens = self.ffn_block(tokens, layer)
         logits = self.classify(tokens)
         return logits, diag

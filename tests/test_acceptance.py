@@ -106,9 +106,10 @@ def test_criterion_02_mechanism_off_equivalence():
         rng = np.random.default_rng(1)
         images = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
         plain, _ = model.forward(images, DropSchedule(), epoch=0)
-        zero_ratio = DropSchedule.single(1, 0.0, skip_target=3)
-        warming_up = DropSchedule.single(1, 0.5, skip_target=3,
-                                         warmup_epochs=5)
+        zero_ratio = DropSchedule(stages=((1, 0.0),), skip_target=3,
+                                  mode=MODE_SKIP)
+        warming_up = DropSchedule(stages=((1, 0.5),), skip_target=3,
+                                  mode=MODE_SKIP, warmup_epochs=5)
         for schedule, epoch in [(DropSchedule(), 7),
                                 (zero_ratio, 7), (warming_up, 0),
                                 (warming_up, 4)]:
@@ -139,16 +140,13 @@ def test_criterion_03_partition_round_trip():
                 # Quantize some cases to force ties.
                 if case % 3 == 0:
                     scores = np.round(scores, 1)
-                keep, drop = tokendrop.select_topk(scores, ratio,
-                                                   tokens.positions[:, 1:])
+                keep, drop = tokendrop.select_topk(scores, ratio)
                 # Deterministic and total: a second call agrees exactly.
-                keep2, drop2 = tokendrop.select_topk(scores, ratio,
-                                                     tokens.positions[:, 1:])
+                keep2, drop2 = tokendrop.select_topk(scores, ratio)
                 assert np.array_equal(keep, keep2)
                 assert np.array_equal(drop, drop2)
                 # Invariant under positive scaling (powers of two are exact).
-                keep3, _ = tokendrop.select_topk(scores * 4.0, ratio,
-                                                 tokens.positions[:, 1:])
+                keep3, _ = tokendrop.select_topk(scores * 4.0, ratio)
                 assert np.array_equal(keep, keep3)
                 assert 0 not in drop, "CLS position must never be dropped"
                 tokens = tokendrop.split(tokens, keep, drop, stash)
@@ -216,7 +214,8 @@ def test_criterion_05_keep_count_arithmetic():
                                  patch_size=4, image_size=56, num_classes=3)
         assert single_cfg.num_patches == 196
         model = ViT(single_cfg, seed=0)
-        schedule = DropSchedule.single(1, 0.55, skip_target=2)
+        schedule = DropSchedule(stages=((1, 0.55),), skip_target=2,
+                                mode=MODE_SKIP)
         _, diag = model.forward(image, schedule, epoch=0)
         assert diag.kept_patches == {1: 89}
 
@@ -253,7 +252,8 @@ def test_criterion_07_directional_throughput():
     The reduction is the paired median of ``trainer.benchmark``.
     """
     with criterion(7, "directional throughput"):
-        schedule = DropSchedule.single(3, 0.55, skip_target=5)
+        schedule = DropSchedule(stages=((3, 0.55),), skip_target=5,
+                                mode=MODE_SKIP)
         measured = trainer.benchmark(ViT(DESK, seed=0), schedule,
                                      TrainConfig(batch_size=96, seed=0)).saving
         predicted = flops.estimate_flops(DESK, schedule).saving_fraction
@@ -285,9 +285,10 @@ def test_criterion_08_accuracy_parity():
         epochs = 8
         arms = {
             "baseline": DropSchedule(),
-            "skip": DropSchedule.single(3, 0.55, skip_target=5,
-                                        warmup_epochs=2),
-            "fused": DropSchedule.fused(3, 0.45, warmup_epochs=2),
+            "skip": DropSchedule(stages=((3, 0.55),), skip_target=5,
+                                 mode=MODE_SKIP, warmup_epochs=2),
+            "fused": DropSchedule(stages=((3, 0.45),), mode=MODE_FUSE,
+                                  warmup_epochs=2),
         }
         top1 = {}
         for name, schedule in arms.items():
@@ -310,8 +311,8 @@ def test_criterion_09_warmup_gating():
         accs = {}
         for warmup in (2, 0):
             model = ViT(DESK, seed=0)
-            schedule = DropSchedule.single(3, 0.55, skip_target=5,
-                                           warmup_epochs=warmup)
+            schedule = DropSchedule(stages=((3, 0.55),), skip_target=5,
+                                    mode=MODE_SKIP, warmup_epochs=warmup)
             cfg = TrainConfig(batch_size=64, epochs=4, learning_rate=1e-3,
                               seed=0)
             metrics = trainer.train(model, schedule, cfg, split)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from test_data import _fabricate_root
 from tokenskip import checkpoint, cli
 from tokenskip.vit import MODEL_PRESETS, ViT
 
@@ -24,24 +25,31 @@ def run(capsys, *argv):
 
 class TestExitCodes:
     def test_config_error_is_exit_1(self, capsys, tmp_path):
-        # An unknown key, and each key that was removed, fail before output.
-        for entry in ("model.width=3", "precision=64",
-                      "schedule.drop_after_ffn=true"):
+        # An unknown key, each key that was removed, and an unknown dataset
+        # source fail before output.
+        for entry, message in (
+                ("model.width=3", "unknown config key 'model.width'"),
+                ("precision=64", "unknown config key 'precision'"),
+                ("schedule.drop_after_ffn=true",
+                 "unknown config key 'schedule.drop_after_ffn'"),
+                ("dataset.source=foo",
+                 "source must be one of synthetic, cifar10, got 'foo'")):
             out_dir = tmp_path / entry
             code, out, err = run(capsys, "train", "--out", str(out_dir),
                                  *TINY, "--set", entry)
             assert code == cli.EXIT_CONFIG
-            key = entry.split("=")[0]
-            assert f"unknown config key {key!r}" in err
+            assert message in err
             assert "top-1" not in out and not out_dir.exists()
 
     def test_invalid_schedule_is_exit_1(self, capsys):
-        code, _, err = run(capsys, "flops", "--set", "schedule.mode=skip",
-                           "--set", "schedule.drop_layers=0",
-                           "--set", "schedule.drop_ratios=0.5",
-                           "--set", "schedule.skip_target=5")
-        assert code == cli.EXIT_CONFIG
-        assert "layer 0" in err or "drop" in err
+        for layers, ratios in (("0", "0.5"), ("-1", "0.5"),
+                               ("-1,3", "0.3,0.3")):
+            code, _, err = run(capsys, "flops", "--set", "schedule.mode=skip",
+                               "--set", f"schedule.drop_layers={layers}",
+                               "--set", f"schedule.drop_ratios={ratios}",
+                               "--set", "schedule.skip_target=5")
+            assert code == cli.EXIT_CONFIG
+            assert "layer 0" in err or "drop" in err
 
     def test_missing_dataset_is_exit_2(self, capsys, tmp_path, monkeypatch):
         from tokenskip.data import DATA_ROOT_ENV
@@ -49,6 +57,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "train", "--out", str(tmp_path / "o"),
                            "--set", "dataset.source=cifar10", *TINY)
         assert code == cli.EXIT_RUNTIME
+
+    @pytest.mark.parametrize("classes", [5, 20])
+    def test_cifar10_class_mismatch_is_exit_1(self, capsys, tmp_path,
+                                              classes):
+        _fabricate_root(tmp_path, per_file=2)
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "train", "--out", str(out_dir), *TINY,
+                             "--set", "dataset.source=cifar10",
+                             "--set", f"dataset.root={tmp_path}",
+                             "--set", "model.image_size=32",
+                             "--set", "model.patch_size=8",
+                             "--set", f"model.num_classes={classes}")
+        assert code == cli.EXIT_CONFIG
+        assert f"cifar10 has 10 classes, model.num_classes is {classes}" in err
+        assert "top-1" not in out and not (out_dir / "metrics.jsonl").exists()
 
     @pytest.mark.parametrize("split", [
         ["--set", "dataset.val_n=0"],

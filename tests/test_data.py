@@ -143,3 +143,9 @@ class TestLoadDataset:
         monkeypatch.setenv(data.DATA_ROOT_ENV, str(tmp_path))
         train, val = data.load_dataset("cifar10")
         assert len(train) == 10 and len(val) == 2
+
+    @pytest.mark.parametrize("classes", [5, 20])
+    def test_cifar_rejects_other_class_count(self, tmp_path, classes):
+        _fabricate_root(tmp_path, per_file=2)
+        with pytest.raises(ValueError, match=f"10 classes.* is {classes}"):
+            data.load_dataset("cifar10", tmp_path, classes=classes)

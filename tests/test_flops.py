@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tokenskip.flops import estimate_flops, measure_forward_macs
-from tokenskip.tokendrop import DropSchedule
+from tokenskip.tokendrop import DropSchedule, MODE_FUSE, MODE_SKIP
 from tokenskip.vit import ModelConfig, ViT
 
 
@@ -29,7 +29,8 @@ def test_schedule_none_saving_zero():
 
 
 def test_schedule_total_never_exceeds_baseline():
-    report = estimate_flops(cfg(6), DropSchedule.single(2, 0.5, 5))
+    schedule = DropSchedule(stages=((2, 0.5),), skip_target=5, mode=MODE_SKIP)
+    report = estimate_flops(cfg(6), schedule)
     assert report.schedule_total <= report.baseline_total
     assert 0.0 <= report.saving_fraction < 1.0
 
@@ -37,26 +38,30 @@ def test_schedule_total_never_exceeds_baseline():
 def test_paper_shape_saving_is_positive():
     config = ModelConfig(depth=12, heads=6, embed_dim=384, patch_size=16,
                          image_size=224, num_classes=1000)
-    report = estimate_flops(config, DropSchedule.single(6, 0.55, 11))
+    schedule = DropSchedule(stages=((6, 0.55),), skip_target=11,
+                            mode=MODE_SKIP)
+    report = estimate_flops(config, schedule)
     assert 0.05 < report.saving_fraction < 0.5
 
 
 SCHEDULES = {
     "none": lambda depth: DropSchedule(),
-    "single": lambda depth: DropSchedule.single(
-        max(1, depth // 2), 0.55, depth - 1),
+    "single": lambda depth: DropSchedule(
+        stages=((max(1, depth // 2), 0.55),), skip_target=depth - 1,
+        mode=MODE_SKIP),
     "two-stage": lambda depth: DropSchedule(
         stages=((max(1, depth // 3), 0.3), (max(2, depth // 2), 0.3)),
         skip_target=depth - 1, mode="skip"),
-    "fuse": lambda depth: DropSchedule.fused(max(1, depth // 2), 0.45),
+    "fuse": lambda depth: DropSchedule(
+        stages=((max(1, depth // 2), 0.45),), mode=MODE_FUSE),
 }
 
 
-@pytest.mark.parametrize("depth", [2, 12])
-@pytest.mark.parametrize("name", list(SCHEDULES))
-def test_estimate_matches_instrumented_counter(depth, name):
-    if depth == 2 and name != "none":
-        pytest.skip("depth 2 admits no drop layer (layer 0 and the final layer are excluded)")
+# Depth 2 admits no drop layer (layer 0 and the final layer are excluded),
+# so it runs only the dense schedule.
+@pytest.mark.parametrize("name,depth",
+                         [(name, 12) for name in SCHEDULES] + [("none", 2)])
+def test_estimate_matches_instrumented_counter(name, depth):
     schedule = SCHEDULES[name](depth)
     config = cfg(depth)
     model = ViT(config, seed=0)

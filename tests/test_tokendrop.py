@@ -51,32 +51,32 @@ class TestClsImportance:
 class TestSelectTopk:
     def test_half_ratio(self):
         imp = np.array([[0.4, 0.1, 0.3, 0.2]])
-        keep, drop = td.select_topk(imp, 0.5, np.array([[1, 2, 3, 4]]))
+        keep, drop = td.select_topk(imp, 0.5)
         np.testing.assert_array_equal(keep, [[1, 3]])
         np.testing.assert_array_equal(drop, [[2, 4]])
 
     def test_ratio_zero_keeps_everything(self):
         imp = np.array([[0.4, 0.1, 0.3]])
-        keep, drop = td.select_topk(imp, 0.0, np.array([[1, 2, 3]]))
+        keep, drop = td.select_topk(imp, 0.0)
         np.testing.assert_array_equal(keep, [[1, 2, 3]])
         assert drop.shape == (1, 0)
 
     def test_paper_shape_keep_count(self):
         rng = np.random.default_rng(0)
         imp = rng.uniform(size=(1, 196))
-        keep, drop = td.select_topk(imp, 0.55, np.arange(1, 197)[None, :])
+        keep, drop = td.select_topk(imp, 0.55)
         assert keep.shape[1] == 89
         assert drop.shape[1] == 107
 
     def test_tie_break_by_position(self):
         imp = np.full((1, 4), 0.25)
-        keep, drop = td.select_topk(imp, 0.5, np.array([[1, 2, 3, 4]]))
+        keep, drop = td.select_topk(imp, 0.5)
         np.testing.assert_array_equal(keep, [[1, 2]])
         np.testing.assert_array_equal(drop, [[3, 4]])
 
     def test_per_sample_selection(self):
         imp = np.array([[0.9, 0.1], [0.1, 0.9]])
-        keep, drop = td.select_topk(imp, 0.5, np.array([[1, 2], [1, 2]]))
+        keep, drop = td.select_topk(imp, 0.5)
         np.testing.assert_array_equal(keep, [[1], [2]])
         np.testing.assert_array_equal(drop, [[2], [1]])
 
@@ -127,7 +127,7 @@ class TestSplitReinsert:
         batch = TokenBatch(emb, np.arange(5)[None, :])
         stash = []
         live = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash)
-        live = td.split(live, np.array([[1]]), np.array([[3]]), stash)
+        live = td.split(live, np.array([[1]]), np.array([[2]]), stash)
         assert len(stash) == 2
         stashed = np.sort(stashed_positions(stash), axis=1)
         np.testing.assert_array_equal(stashed, [[2, 3, 4]])
@@ -190,7 +190,8 @@ class TestValidate:
                       image_size=32, num_classes=10)
 
     def test_paper_best_single_stage(self):
-        td.validate(td.DropSchedule.single(6, 0.55, 11), self.CFG)
+        td.validate(td.DropSchedule(stages=((6, 0.55),), skip_target=11,
+                                    mode=td.MODE_SKIP), self.CFG)
 
     def test_two_stage(self):
         sched = td.DropSchedule(stages=((4, 0.3), (7, 0.3)), skip_target=10,
@@ -199,11 +200,15 @@ class TestValidate:
 
     def test_target_before_drop_rejected(self):
         with pytest.raises(ValueError, match="skip_target"):
-            td.validate(td.DropSchedule.single(7, 0.3, 6), self.CFG)
+            td.validate(td.DropSchedule(stages=((7, 0.3),), skip_target=6,
+                                        mode=td.MODE_SKIP), self.CFG)
 
     def test_drop_layer_zero_rejected(self):
-        with pytest.raises(ValueError, match="drop_layers"):
-            td.validate(td.DropSchedule.single(0, 0.3, 5), self.CFG)
+        for layer in (0, -1):
+            with pytest.raises(ValueError, match="drop_layers"):
+                td.validate(td.DropSchedule(stages=((layer, 0.3),),
+                                            skip_target=5, mode=td.MODE_SKIP),
+                            self.CFG)
 
     def test_drop_at_final_layer_rejected(self):
         sched = td.DropSchedule(stages=((11, 0.3),), skip_target=None, mode="fuse")
@@ -223,7 +228,8 @@ class TestValidate:
 
     def test_ratio_one_rejected(self):
         with pytest.raises(ValueError, match="ratio"):
-            td.validate(td.DropSchedule.single(6, 1.0, 11), self.CFG)
+            td.validate(td.DropSchedule(stages=((6, 1.0),), skip_target=11,
+                                        mode=td.MODE_SKIP), self.CFG)
 
     def test_none_mode_always_valid(self):
         td.validate(td.DropSchedule(), self.CFG)
@@ -307,7 +313,8 @@ class TestPlan:
         assert checked == 8
 
     def test_default_epoch_is_past_warmup(self):
-        sched = td.DropSchedule.single(3, 0.55, 5, warmup_epochs=7)
+        sched = td.DropSchedule(stages=((3, 0.55),), skip_target=5,
+                                mode=td.MODE_SKIP, warmup_epochs=7)
         steps = td.plan(sched, self.CFG)
         assert [s.attn_tokens for s in steps] == [17, 17, 17, 17, 9, 17]
         assert [s.ffn_tokens for s in steps] == [17, 17, 17, 9, 9, 17]
@@ -359,8 +366,7 @@ def drop_case(draw):
 @settings(max_examples=200, deadline=None)
 def test_partition_invariant_single_stage(case):
     n, batch, scores, ratio = case
-    positions = np.tile(np.arange(1, n + 1), (batch, 1))
-    keep, drop = td.select_topk(scores, ratio, positions)
+    keep, drop = td.select_topk(scores, ratio)
     all_pos = np.sort(np.concatenate(
         [np.zeros((batch, 1), dtype=int), keep, drop], axis=1), axis=1)
     np.testing.assert_array_equal(all_pos, np.tile(np.arange(n + 1), (batch, 1)))
@@ -376,13 +382,13 @@ def test_two_stage_partition_and_roundtrip(case, ratio2):
     tokens = TokenBatch(Tensor(emb), np.tile(np.arange(n + 1), (batch, 1)))
     stash = []
 
-    keep, drop = td.select_topk(scores, ratio, tokens.positions[:, 1:])
+    keep, drop = td.select_topk(scores, ratio)
     tokens = td.split(tokens, keep, drop, stash)
 
     live_patches = tokens.positions.shape[1] - 1
     if live_patches >= 1:
         scores2 = rng.uniform(size=(batch, live_patches))
-        keep2, drop2 = td.select_topk(scores2, ratio2, tokens.positions[:, 1:])
+        keep2, drop2 = td.select_topk(scores2, ratio2)
         tokens = td.split(tokens, keep2, drop2, stash)
 
     combined = tokens.positions if not stash else \
@@ -402,10 +408,9 @@ def test_two_stage_partition_and_roundtrip(case, ratio2):
 @settings(max_examples=200, deadline=None)
 def test_selection_invariant_under_positive_scaling(case, log2_scale):
     n, batch, scores, ratio = case
-    positions = np.tile(np.arange(1, n + 1), (batch, 1))
-    keep_a, drop_a = td.select_topk(scores, ratio, positions)
+    keep_a, drop_a = td.select_topk(scores, ratio)
     scaled = scores * float(2.0 ** log2_scale)
-    keep_b, drop_b = td.select_topk(scaled, ratio, positions)
+    keep_b, drop_b = td.select_topk(scaled, ratio)
     # Scaled down, a subnormal can round onto a neighbour; the new tie breaks
     # toward the lower position, so only a scaling that adds no tie must agree.
     if all(np.unique(a).size == np.unique(b).size
@@ -418,8 +423,7 @@ def test_selection_invariant_under_positive_scaling(case, log2_scale):
 @settings(max_examples=200, deadline=None)
 def test_selection_deterministic(case):
     n, batch, scores, ratio = case
-    positions = np.tile(np.arange(1, n + 1), (batch, 1))
-    first = td.select_topk(scores, ratio, positions)
-    second = td.select_topk(scores, ratio, positions)
+    first = td.select_topk(scores, ratio)
+    second = td.select_topk(scores, ratio)
     np.testing.assert_array_equal(first[0], second[0])
     np.testing.assert_array_equal(first[1], second[1])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tokenskip import cli, config, data, tokendrop, trainer
-from tokenskip.tokendrop import DropSchedule
+from tokenskip.tokendrop import DropSchedule, MODE_SKIP
 from tokenskip.trainer import TrainConfig
 from tokenskip.vit import ModelConfig, ViT
 
@@ -130,7 +130,8 @@ class TestTrain:
         config = ModelConfig(depth=4, heads=2, embed_dim=8, ffn_ratio=2,
                              patch_size=2, image_size=8, num_classes=3)
         model = ViT(config, seed=0)
-        schedule = DropSchedule.single(drop_layer=1, ratio=0.5, skip_target=3)
+        schedule = DropSchedule(stages=((1, 0.5),), skip_target=3,
+                                mode=MODE_SKIP)
         metrics = trainer.train(model, schedule, tiny_cfg(epochs=1),
                                 data.synthetic(0, 16, classes=3, image_size=8))
         tokens = metrics.epochs[0].attn_tokens

@@ -3,7 +3,7 @@ import pytest
 
 from tokenskip import tensor as T
 from tokenskip.tensor import Tensor
-from tokenskip.tokendrop import DropSchedule
+from tokenskip.tokendrop import DropSchedule, MODE_FUSE, MODE_SKIP
 from tokenskip.vit import MODEL_PRESETS, ModelConfig, TokenBatch, ViT
 
 from gradcheck import finite_difference, relative_error
@@ -196,7 +196,8 @@ class TestForward:
         model = ViT(SMALL, seed=6)
         imgs = images_for(SMALL)
         plain, _ = model.forward(imgs)
-        sched = DropSchedule.single(3, 0.55, 5, warmup_epochs=5)
+        sched = DropSchedule(stages=((3, 0.55),), skip_target=5,
+                             mode=MODE_SKIP, warmup_epochs=5)
         warm, _ = model.forward(imgs, sched, epoch=4)
         assert (plain.data == warm.data).all()
         hot, _ = model.forward(imgs, sched, epoch=5)
@@ -205,7 +206,8 @@ class TestForward:
     def test_keep_count_through_layers(self):
         model = ViT(SMALL, seed=7)
         imgs = images_for(SMALL)
-        sched = DropSchedule.single(3, 0.55, 5)
+        sched = DropSchedule(stages=((3, 0.55),), skip_target=5,
+                             mode=MODE_SKIP)
         _, diag = model.forward(imgs, sched, epoch=0)
         # 65 tokens in, drop at 3: layer 4 runs on ceil(64*0.45)+1 = 30 tokens,
         # reinsert restores the full count at the target layer.
@@ -233,7 +235,7 @@ class TestForward:
 
         monkeypatch.setattr(ViT, "attention_block", attn)
         model = ViT(SMALL, seed=8)
-        sched = DropSchedule.single(2, 0.5, 4)
+        sched = DropSchedule(stages=((2, 0.5),), skip_target=4, mode=MODE_SKIP)
         model.forward(images_for(SMALL), sched, epoch=0)
         assert len(seen) == SMALL.depth
         for scores in seen:
@@ -243,7 +245,7 @@ class TestForward:
     def test_fuse_mode_appends_single_token(self, monkeypatch):
         final = spy_classified_positions(monkeypatch)
         model = ViT(SMALL, seed=9)
-        sched = DropSchedule.fused(2, 0.45)
+        sched = DropSchedule(stages=((2, 0.45),), mode=MODE_FUSE)
         _, diag = model.forward(images_for(SMALL), sched, epoch=0)
         # ceil(64*0.55) = 36 kept patches + CLS + fused token = 38.
         assert diag.attn_tokens == [65, 65, 65, 38, 38, 38]
