@@ -1,12 +1,11 @@
 """Desk-scale ViT training laboratory with attention-guided token skipping."""
 
-from .tensor import Tensor, precision
+from .tensor import Tensor
 from .tokendrop import DropSchedule
 from .vit import MODEL_PRESETS, ModelConfig, TokenBatch, ViT
 
 __all__ = [
     "Tensor",
-    "precision",
     "DropSchedule",
     "ModelConfig",
     "MODEL_PRESETS",

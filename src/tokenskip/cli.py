@@ -104,10 +104,16 @@ def _result_row(cfg: ExperimentConfig, speed: trainer.Throughput,
     }
 
 
-def _run_experiment(cfg: ExperimentConfig, out: Path) -> dict:
-    """Train one configuration, then benchmark it; returns a result row."""
+def _run_experiment(cfg: ExperimentConfig, out) -> dict:
+    """Train one configuration, then benchmark it; returns a result row.
+
+    A run that cannot start fails before ``out`` is made.
+    """
     train_split, val_split = _load_data(cfg)
     model = ViT(cfg.model, seed=cfg.seed)
+    trainer.check_inputs(model, cfg.schedule, cfg.train, train_split,
+                         val_split)
+    out = _prepare_out(cfg, out)
     metrics = trainer.train(model, cfg.schedule, cfg.train, train_split,
                             val_split, out_dir=out)
     speed = trainer.benchmark(model, cfg.schedule, cfg.train)
@@ -117,9 +123,7 @@ def _run_experiment(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(args)
-    out = _prepare_out(cfg, args.out)
-    row = _run_experiment(cfg, out)
+    row = _run_experiment(_resolve(args), args.out)
     print(f"final val top-1: {row['top1']:.2f}%  "
           f"({row['samples_per_sec']:.1f} samples/sec, measured saving "
           f"{row['measured_saving']:.3f})")
@@ -188,9 +192,8 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     rows = []
     for name, cfg in arms:
-        arm_out = _prepare_out(cfg, out / name)
         print(f"[{name}] {_schedule_label(cfg.schedule)} ...", flush=True)
-        row = _run_experiment(cfg, arm_out)
+        row = _run_experiment(cfg, out / name)
         row["arm"] = name
         rows.append(row)
     with open(out / "sweep.jsonl", "w") as fh:
@@ -198,6 +201,21 @@ def cmd_sweep(args) -> int:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
     print(format_report(rows))
     return EXIT_OK
+
+
+_OPTIONAL_NUMBERS = ("top1", "predicted_mac_saving", "measured_saving")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_result_row(row) -> bool:
+    return (isinstance(row, dict) and isinstance(row.get("schedule"), str)
+            and _is_number(row.get("samples_per_sec"))
+            and row["samples_per_sec"] > 0
+            and all(row.get(key) is None or _is_number(row[key])
+                    for key in _OPTIONAL_NUMBERS))
 
 
 def _load_result_rows(paths) -> list:
@@ -216,12 +234,11 @@ def _load_result_rows(paths) -> list:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         for row in file_rows:
-            if not (isinstance(row, dict) and "schedule" in row
-                    and isinstance(row.get("samples_per_sec"), (int, float))
-                    and row["samples_per_sec"] > 0):
+            if not _is_result_row(row):
                 raise ValueError(
-                    f"{path}: a result row is a JSON object with a schedule and "
-                    f"a positive samples_per_sec, got {row!r}")
+                    f"{path}: a result row is a JSON object with a string "
+                    f"schedule, a positive samples_per_sec and a number or "
+                    f"null for {', '.join(_OPTIONAL_NUMBERS)}, got {row!r}")
             rows.append(row)
     return rows
 

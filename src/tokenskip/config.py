@@ -5,8 +5,9 @@ comments. Arrays are comma-separated. The keys are the fields of
 ``ModelConfig``, ``TrainConfig``, ``DatasetConfig`` and ``DropSchedule``
 (sections model, train, dataset, schedule), the model and train presets, the
 stages as schedule.drop_layers and schedule.drop_ratios, and the top-level
-seed. An empty value leaves a key unset. Runs are float32; float64 is the
-``tensor.precision(64)`` context of the gradient checks, not a key. Example::
+seed. An empty value leaves a key unset. These keys determine a run: no
+environment variable is read, and there is no dtype mode (a model computes
+in its parameters' dtype, float32 as built). Example::
 
     model.preset = desk
     schedule.mode = skip
@@ -208,13 +209,18 @@ def sweep_arms(items: dict[str, str]) -> list[tuple[str, ExperimentConfig]]:
     Each arm inherits every shared key and may override any of them via
     ``sweep.<arm>.<key> = value``. Schedule keys are special-cased: naming
     any of them in an arm clears the shared schedule first, so an arm can
-    switch mode without dragging along stale stage definitions.
+    switch mode without dragging along stale stage definitions. An arm's
+    name is its output directory, so it must be a plain directory name.
     """
     names = _csv("sweep.arms", items.get("sweep.arms", ""), str)
     if not names:
         raise ConfigError("sweep requires sweep.arms (comma-separated names)")
     if len(set(names)) != len(names):
         raise ConfigError("sweep.arms contains duplicate names")
+    for name in names:
+        if name in ("", ".", "..") or "/" in name:
+            raise ConfigError(f"sweep.arms: arm name {name!r} is not a plain "
+                              f"directory name")
     arms = []
     for name in names:
         prefix = f"sweep.{name}."

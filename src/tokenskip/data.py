@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,9 +12,6 @@ CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILE = "test_batch.bin"
 
 SOURCES = ("synthetic", "cifar10")
-
-# Environment variable naming the dataset root directory.
-DATA_ROOT_ENV = "TOKENSKIP_DATA_ROOT"
 
 
 class IngestError(ValueError):
@@ -30,9 +26,6 @@ class Split:
 
     def __len__(self):
         return self.images.shape[0]
-
-    def subset(self, n: int) -> "Split":
-        return Split(self.images[:n], self.labels[:n])
 
 
 def _read_cifar_file(path: Path):
@@ -124,11 +117,8 @@ def load_dataset(source: str, root=None, *, seed: int = 0,
                  classes: int = 10, image_size: int = 32):
     """Resolve a dataset source name to normalized (train, val) splits."""
     if source == "cifar10":
-        root = root or os.environ.get(DATA_ROOT_ENV)
         if not root:
-            raise FileNotFoundError(
-                f"cifar10 needs a dataset root (set {DATA_ROOT_ENV} or dataset.root)"
-            )
+            raise FileNotFoundError("cifar10 needs a dataset root (set dataset.root)")
         if classes != 10:
             raise ValueError(f"cifar10 has 10 classes, model.num_classes is "
                              f"{classes}")

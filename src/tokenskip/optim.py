@@ -9,6 +9,9 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
 
 @dataclass
 class OptimizerState:
@@ -19,24 +22,19 @@ class OptimizerState:
 
 
 class AdamW:
-    def __init__(self, params: dict[str, Tensor], learning_rate: float,
-                 weight_decay: float = 0.0, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0):
         self.params = params
-        self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.state = OptimizerState()
         for name, p in params.items():
             self.state.m[name] = np.zeros_like(p.data)
             self.state.v[name] = np.zeros_like(p.data)
 
-    def step(self, lr: float | None = None) -> None:
-        """One decoupled-weight-decay update over all parameters with gradients."""
-        lr = self.learning_rate if lr is None else lr
+    def step(self, lr: float) -> None:
+        """One decoupled-weight-decay update at ``lr`` over all parameters."""
         s = self.state
         s.step += 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         c1 = 1.0 - b1 ** s.step
         c2 = 1.0 - b2 ** s.step
         for name, p in self.params.items():
@@ -59,7 +57,7 @@ class AdamW:
             v += upd
             np.divide(v, c2, out=upd)
             np.sqrt(upd, out=upd)
-            upd += self.eps
+            upd += EPS
             np.divide(m / c1, upd, out=upd)
             upd += self.weight_decay * p.data
             upd *= lr

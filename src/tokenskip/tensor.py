@@ -3,9 +3,11 @@
 Tensors wrap contiguous numpy arrays. Differentiable operations record their
 inputs and a backward closure; calling ``backward`` on a scalar loss walks the
 recorded graph in reverse topological order and accumulates gradients into
-every reachable tensor that requires them. Float32 is the default precision;
-float64 can be selected with the ``precision`` context manager for tight
-gradient verification.
+every reachable tensor that requires them. A tensor's dtype is its data's: an
+ndarray is kept as it is, anything else goes through ``np.asarray``, and a
+non-float result becomes float32. So each op computes in its operands' dtype,
+and a float64 model (a float64 archive, or a gradient check's cast) runs in
+float64 throughout.
 
 Gradient ownership. Backward closures hand gradients to ``_accumulate``
 without copying them. An array passed with ``own=True`` is freshly allocated
@@ -28,16 +30,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float32
-
 # Active MAC counter, if any (see flops.count_macs). matmul reports into it.
 _MAC_COUNTER = None
 
 _GRAD_ENABLED = True
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 @contextmanager
@@ -52,20 +48,6 @@ def no_grad():
         _GRAD_ENABLED = saved
 
 
-@contextmanager
-def precision(bits: int):
-    """Switch the default scalar width (32 or 64) inside the block."""
-    global _DEFAULT_DTYPE
-    if bits not in (32, 64):
-        raise ValueError(f"precision must be 32 or 64, got {bits}")
-    saved = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = np.float32 if bits == 32 else np.float64
-    try:
-        yield
-    finally:
-        _DEFAULT_DTYPE = saved
-
-
 class Tensor:
     """A dense n-dimensional array with optional gradient tracking."""
 
@@ -73,12 +55,9 @@ class Tensor:
                  "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, np.ndarray):
-            arr = data
-        else:
-            arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        arr = data if isinstance(data, np.ndarray) else np.asarray(data)
         if arr.dtype.kind != "f":
-            arr = arr.astype(_DEFAULT_DTYPE)
+            arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
@@ -374,7 +353,7 @@ def softmax(t: Tensor, axis: int) -> Tensor:
     return _make(out, (t,), backward)
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -384,7 +363,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
         )
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     # Same operations as np.var, without centring x a second time.
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + 1e-5)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data

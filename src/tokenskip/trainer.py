@@ -6,7 +6,7 @@ import ctypes
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -149,19 +149,12 @@ def _train_step(model: ViT, schedule: DropSchedule, opt: AdamW,
     return float(loss.data), logits.data, diag
 
 
-def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
-          train_split: Split, val_split: Optional[Split] = None,
-          out_dir=None, max_steps: Optional[int] = None,
-          stop_at_train_top1: Optional[float] = None) -> RunMetrics:
-    """Deterministic training loop with epoch-gated token dropping.
-
-    The current epoch is passed into the forward pass so drop warm-up is
-    epoch-driven. Timing and the minor-fault count exclude validation and
-    checkpointing.
-    """
+def check_inputs(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
+                 train_split: Split, val_split: Optional[Split] = None) -> None:
+    """Raise ValueError unless the schedule fits the model, the train split
+    holds a batch and the splits are non-empty and of the model's shape."""
     tokendrop.validate(schedule, model.config)
-    steps_per_epoch = len(train_split) // cfg.batch_size
-    if steps_per_epoch == 0:
+    if len(train_split) < cfg.batch_size:
         raise ValueError(f"train split of {len(train_split)} samples holds no "
                          f"full batch of {cfg.batch_size}")
     if val_split is not None and len(val_split) == 0:
@@ -173,8 +166,22 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
             raise ValueError(f"{name} split images are "
                              f"{list(split.images.shape[1:])}, the model "
                              f"takes {shape}")
+
+
+def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
+          train_split: Split, val_split: Optional[Split] = None,
+          out_dir=None, max_steps: Optional[int] = None,
+          stop_at_train_top1: Optional[float] = None) -> RunMetrics:
+    """Deterministic training loop with epoch-gated token dropping.
+
+    The current epoch is passed into the forward pass so drop warm-up is
+    epoch-driven. Timing and the minor-fault count exclude validation and
+    checkpointing.
+    """
+    check_inputs(model, schedule, cfg, train_split, val_split)
+    steps_per_epoch = len(train_split) // cfg.batch_size
     _keep_heap()
-    opt = AdamW(model.params, cfg.learning_rate, cfg.weight_decay)
+    opt = AdamW(model.params, cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     metrics = RunMetrics()
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -302,7 +309,7 @@ def benchmark(model: ViT, schedule: DropSchedule,
     images = rng.normal(size=(cfg.batch_size, c.channels, c.image_size,
                               c.image_size)).astype(np.float32)
     labels = rng.integers(0, c.num_classes, size=cfg.batch_size)
-    opt = AdamW(model.params, 0.0)
+    opt = AdamW(model.params)
     arms = (DropSchedule(), schedule)
     order = [0, 1]  # one warm-up step per arm
     for _ in range(_BENCHMARK_PAIRS):

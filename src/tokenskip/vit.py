@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T, tokendrop
 from .tensor import Tensor
-from .tokendrop import DropSchedule, TokenBatch
+from .tokendrop import PAST_WARMUP, DropSchedule, TokenBatch
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,15 @@ class ViT:
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
-        dt = T.default_dtype()
         c = config
         self.params: dict[str, Tensor] = {}
 
         def normal(name, shape, std=0.02):
-            self.params[name] = Tensor(rng.normal(0.0, std, shape).astype(dt),
-                                       requires_grad=True)
+            self.params[name] = Tensor(
+                rng.normal(0.0, std, shape).astype(np.float32), requires_grad=True)
 
         def const(name, shape, value):
-            self.params[name] = Tensor(np.full(shape, value, dtype=dt),
+            self.params[name] = Tensor(np.full(shape, value, dtype=np.float32),
                                        requires_grad=True)
 
         patch_in = c.channels * c.patch_size ** 2
@@ -116,10 +115,11 @@ class ViT:
         const("head.b", (c.num_classes,), 0.0)
 
     def patchify(self, images) -> TokenBatch:
-        """Split images into patch tokens, project, prepend CLS, add positions."""
+        """Cast images to the parameters' dtype, split them into patch
+        tokens, project, prepend CLS, add positions."""
         c = self.config
         if not isinstance(images, Tensor):
-            images = Tensor(np.ascontiguousarray(images, dtype=T.default_dtype()))
+            images = Tensor(np.ascontiguousarray(images, self.params["patch.w"].dtype))
         b, ch, h, w = images.shape
         if ch != c.channels or h != c.image_size or w != c.image_size:
             raise ValueError(
@@ -187,8 +187,9 @@ class ViT:
         h = T.layernorm(cls, self.params["ln_f.g"], self.params["ln_f.b"])
         return T.matmul(h, self.params["head.w"], self.params["head.b"])
 
-    def forward(self, images, schedule=DropSchedule(), epoch: int = 0):
-        """Full forward pass executing the schedule's per-layer token plan."""
+    def forward(self, images, schedule=DropSchedule(), epoch: int = PAST_WARMUP):
+        """Full forward pass executing the schedule's per-layer token plan
+        (dense before the schedule's warm-up epoch; by default past it)."""
         stash = []  # (positions, embeddings) pairs awaiting reinsertion
         diag = ForwardDiagnostics()
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager, nullcontext
 import numpy as np
 import pytest
 
-from gradcheck import finite_difference, relative_error
+from gradcheck import finite_difference, float64_model, relative_error
 from tokenskip import cli, data, flops, tensor as T, tokendrop, trainer
 from tokenskip.optim import AdamW
 from tokenskip.tensor import Tensor
@@ -66,35 +66,34 @@ def test_criterion_01_gradient_integrity():
             DropSchedule(stages=((0, 0.5),), skip_target=1, mode=MODE_SKIP),
             DropSchedule(stages=((0, 0.5),), mode=MODE_FUSE),
         ]
-        with T.precision(64):
-            rng = np.random.default_rng(0)
-            images = rng.normal(size=(2, 3, 4, 4))
-            labels = np.array([0, 2])
-            for schedule in schedules:
-                model = ViT(TINY, seed=1)
+        rng = np.random.default_rng(0)
+        images = rng.normal(size=(2, 3, 4, 4))
+        labels = np.array([0, 2])
+        for schedule in schedules:
+            model = float64_model(TINY, seed=1)
 
-                def loss_value():
-                    logits, _ = model.forward(images, schedule, epoch=0)
-                    return float(T.cross_entropy(logits, labels).data)
+            def loss_value():
+                logits, _ = model.forward(images, schedule, epoch=0)
+                return float(T.cross_entropy(logits, labels).data)
 
-                # The gradients a train step computes; at learning rate 0
-                # the update leaves the weights as they were.
-                trainer._train_step(model, schedule, AdamW(model.params, 0.0),
-                                    images, labels, 0, 0, 0.0)
-                for name, p in model.params.items():
-                    numeric = finite_difference(loss_value, p.data)
-                    analytic = (p.grad if p.grad is not None
-                                else np.zeros_like(p.data))
-                    denom = (np.linalg.norm(analytic)
-                             + np.linalg.norm(numeric))
-                    if denom < 1e-7:
-                        # A uniform key bias cancels inside softmax, so its
-                        # true gradient is zero; both sides agree on that.
-                        continue
-                    err = relative_error(analytic, numeric)
-                    assert err < 1e-3, (
-                        f"{schedule.mode}: parameter {name} gradient error "
-                        f"{err:.2e}")
+            # The gradients a train step computes; at learning rate 0
+            # the update leaves the weights as they were.
+            trainer._train_step(model, schedule, AdamW(model.params),
+                                images, labels, 0, 0, 0.0)
+            for name, p in model.params.items():
+                numeric = finite_difference(loss_value, p.data)
+                analytic = (p.grad if p.grad is not None
+                            else np.zeros_like(p.data))
+                denom = (np.linalg.norm(analytic)
+                         + np.linalg.norm(numeric))
+                if denom < 1e-7:
+                    # A uniform key bias cancels inside softmax, so its
+                    # true gradient is zero; both sides agree on that.
+                    continue
+                err = relative_error(analytic, numeric)
+                assert err < 1e-3, (
+                    f"{schedule.mode}: parameter {name} gradient error "
+                    f"{err:.2e}")
 
 
 def test_criterion_02_mechanism_off_equivalence():

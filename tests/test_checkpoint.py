@@ -7,6 +7,8 @@ from tokenskip import checkpoint, cli
 from tokenskip.checkpoint import CheckpointError
 from tokenskip.vit import ModelConfig, ViT
 
+from gradcheck import float64_model
+
 TINY = ModelConfig(depth=2, heads=2, embed_dim=8, ffn_ratio=2,
                    patch_size=2, image_size=4, num_classes=3)
 
@@ -38,9 +40,7 @@ def test_round_trip_preserves_forward_output(tmp_path):
 
 
 def test_float64_parameters_survive(tmp_path):
-    model = ViT(TINY, seed=5)
-    for p in model.params.values():
-        p.data = p.data.astype(np.float64)
+    model = float64_model(TINY, seed=5)
     checkpoint.save(model, tmp_path / "m.ckpt")
     loaded = checkpoint.load(tmp_path / "m.ckpt")
     for name, p in model.params.items():

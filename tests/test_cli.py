@@ -51,12 +51,12 @@ class TestExitCodes:
             assert code == cli.EXIT_CONFIG
             assert "layer 0" in err or "drop" in err
 
-    def test_missing_dataset_is_exit_2(self, capsys, tmp_path, monkeypatch):
-        from tokenskip.data import DATA_ROOT_ENV
-        monkeypatch.delenv(DATA_ROOT_ENV, raising=False)
-        code, _, err = run(capsys, "train", "--out", str(tmp_path / "o"),
+    def test_missing_dataset_is_exit_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "o"
+        code, _, err = run(capsys, "train", "--out", str(out_dir),
                            "--set", "dataset.source=cifar10", *TINY)
         assert code == cli.EXIT_RUNTIME
+        assert "dataset.root" in err and not out_dir.exists()
 
     @pytest.mark.parametrize("classes", [5, 20])
     def test_cifar10_class_mismatch_is_exit_1(self, capsys, tmp_path,
@@ -71,7 +71,7 @@ class TestExitCodes:
                              "--set", f"model.num_classes={classes}")
         assert code == cli.EXIT_CONFIG
         assert f"cifar10 has 10 classes, model.num_classes is {classes}" in err
-        assert "top-1" not in out and not (out_dir / "metrics.jsonl").exists()
+        assert "top-1" not in out and not out_dir.exists()
 
     @pytest.mark.parametrize("split", [
         ["--set", "dataset.val_n=0"],
@@ -84,8 +84,7 @@ class TestExitCodes:
                              *split)
         assert code == cli.EXIT_CONFIG
         assert "top-1" not in out and "split" in err
-        metrics = out_dir / "metrics.jsonl"
-        assert not metrics.exists()
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("key", ["model.heads", "model.patch_size",
                                      "train.epochs"])
@@ -229,6 +228,16 @@ class TestSweepAndReport:
         assert code == 0
         assert "(+0.00%)" in out  # baseline throughput delta vs itself
 
+    @pytest.mark.parametrize("arms", ["base,,x", "base,.", "..", "a/b"])
+    def test_arm_name_must_be_a_plain_directory_name(self, capsys, tmp_path,
+                                                     arms):
+        out_dir = tmp_path / "sweep_out"
+        code, out, err = run(capsys, "sweep", "--out", str(out_dir), *TINY,
+                             "--set", f"sweep.arms={arms}")
+        assert code == cli.EXIT_CONFIG
+        assert "not a plain directory name" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_finds_baseline_among_bench_rows(self, capsys, tmp_path):
         skip, base = tmp_path / "skip", tmp_path / "base"
         assert run(capsys, "bench", "--out", str(skip), *TINY4, *SKIP)[0] == 0
@@ -271,9 +280,16 @@ class TestSweepAndReport:
         [1, 2], 3,
         {"mode": "none", "samples_per_sec": 10.0},
         {"schedule": "baseline", "mode": "none"},
-        {"schedule": "baseline", "mode": "none", "samples_per_sec": 0}],
+        {"schedule": "baseline", "mode": "none", "samples_per_sec": 0},
+        {"schedule": "baseline", "mode": "none", "samples_per_sec": 10.0,
+         "top1": "abc"},
+        {"schedule": 5, "mode": "none", "samples_per_sec": 10.0},
+        {"schedule": "baseline", "mode": "none", "samples_per_sec": True},
+        {"schedule": "baseline", "mode": "none", "samples_per_sec": 10.0,
+         "measured_saving": "x"}],
         ids=["list", "number", "no_schedule", "no_samples_per_sec",
-             "zero_baseline_rate"])
+             "zero_baseline_rate", "string_top1", "number_schedule",
+             "bool_samples_per_sec", "string_measured_saving"])
     def test_malformed_row_is_exit_1(self, capsys, tmp_path, row):
         path = tmp_path / "result.json"
         path.write_text(json.dumps(row))

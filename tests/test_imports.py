@@ -1,6 +1,7 @@
 """Import structure of the package: modules import each other at module level,
 never inside a function, and ``tokendrop`` needs ``vit`` only for type
-annotations."""
+annotations. No hidden inputs: no process-wide mode besides ``no_grad`` and no
+environment variable."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,32 @@ def test_tokendrop_imports_vit_only_for_type_checking():
     guarded = [node for block in tree.body if _is_type_checking(block)
                for node in block.body]
     assert [node.module for node in guarded] == ["vit"]
+
+
+def _global_statements(node, owner=None):
+    """(enclosing function, names) of each ``global`` statement under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Global):
+            yield owner, tuple(child.names)
+        inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef))
+                 else owner)
+        yield from _global_statements(child, inner)
+
+
+def test_only_global_statement_is_no_grad():
+    found = [(path.name, owner, names) for path in SOURCES
+             for owner, names in _global_statements(ast.parse(path.read_text()))]
+    assert found == [("tensor.py", "no_grad", ("_GRAD_ENABLED",))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_environment_read(path):
+    tree = ast.parse(path.read_text())
+    names = ("environ", "getenv")
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             and isinstance(node.value, ast.Name) and node.value.id == "os"
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and any(alias.name in names for alias in node.names)]
+    assert reads == []

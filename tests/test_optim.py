@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tokenskip import tensor as T
 from tokenskip.optim import AdamW, lr_at
 from tokenskip.tensor import Tensor
-
-
-@pytest.fixture(autouse=True)
-def _float64():
-    with T.precision(64):
-        yield
 
 
 def _param(value):
@@ -26,20 +19,20 @@ class TestAdamW:
         # first update is lr * g / (|g| + eps), essentially lr * sign(g).
         p = _param([0.0, 0.0])
         p.grad = np.array([1.0, -3.0])
-        opt = AdamW({"p": p}, learning_rate=1e-3)
-        opt.step()
+        opt = AdamW({"p": p})
+        opt.step(1e-3)
         np.testing.assert_allclose(p.data, [-1e-3, 1e-3], rtol=1e-7)
 
     def test_two_steps_match_hand_trace(self):
         p = _param([0.5])
         lr, wd, (b1, b2), eps = 2e-2, 0.1, (0.9, 0.999), 1e-8
-        opt = AdamW({"p": p}, lr, weight_decay=wd, betas=(b1, b2), eps=eps)
+        opt = AdamW({"p": p}, weight_decay=wd)
         ref = np.array([0.5])
         m = np.zeros(1)
         v = np.zeros(1)
         for t, g in enumerate([np.array([0.3]), np.array([-0.7])], start=1):
             p.grad = g.copy()
-            opt.step()
+            opt.step(lr)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             m_hat = m / (1 - b1 ** t)
@@ -52,9 +45,9 @@ class TestAdamW:
         # (1 - lr * wd) per step, independent of the Adam moments.
         p = _param([2.0, -4.0])
         lr, wd = 1e-2, 0.5
-        opt = AdamW({"p": p}, lr, weight_decay=wd)
+        opt = AdamW({"p": p}, weight_decay=wd)
         for t in range(1, 6):
-            opt.step()
+            opt.step(lr)
             np.testing.assert_allclose(p.data,
                                        np.array([2.0, -4.0]) * (1 - lr * wd) ** t,
                                        rtol=1e-12)
@@ -63,39 +56,39 @@ class TestAdamW:
         p = _param([1.0])
         q = _param([1.0])
         q.grad = np.array([1.0])
-        opt = AdamW({"p": p, "q": q}, 1e-3)
-        opt.step()
+        opt = AdamW({"p": p, "q": q})
+        opt.step(1e-3)
         np.testing.assert_allclose(p.data, [1.0])
         assert q.data[0] < 1.0
 
     def test_nan_gradient_names_parameter(self):
         p = _param([1.0])
         p.grad = np.array([np.nan])
-        opt = AdamW({"blocks.0.ffn.w1": p}, 1e-3)
+        opt = AdamW({"blocks.0.ffn.w1": p})
         with pytest.raises(FloatingPointError, match="blocks.0.ffn.w1"):
-            opt.step()
+            opt.step(1e-3)
 
     def test_inf_gradient_fails_before_the_update(self):
         p = _param([1.0, 1.0, 1.0])
         p.grad = np.array([1.0, np.inf, 1.0])
-        opt = AdamW({"blocks.0.ffn.w1": p}, 1e-3)
+        opt = AdamW({"blocks.0.ffn.w1": p})
         with pytest.raises(FloatingPointError,
                            match="non-finite gradient in parameter "
                                  "'blocks.0.ffn.w1'"):
-            opt.step()
+            opt.step(1e-3)
         np.testing.assert_array_equal(p.data, [1.0, 1.0, 1.0])
 
-    def test_explicit_lr_overrides_default(self):
+    def test_zero_lr_leaves_parameters(self):
         p = _param([0.0])
         p.grad = np.array([1.0])
-        opt = AdamW({"p": p}, 1e-3)
-        opt.step(lr=0.0)
+        opt = AdamW({"p": p})
+        opt.step(0.0)
         np.testing.assert_allclose(p.data, [0.0])
 
     def test_zero_grad(self):
         p = _param([1.0])
         p.grad = np.array([5.0])
-        opt = AdamW({"p": p}, 1e-3)
+        opt = AdamW({"p": p})
         opt.zero_grad()
         assert p.grad is None or not p.grad.any()
 
@@ -119,7 +112,7 @@ def test_adamw_matches_textbook_step_bitwise(dtype, wd):
               for n, s in shapes.items()}
     ref = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
            for n, p in params.items()}
-    opt = AdamW(params, 3e-3, weight_decay=wd)
+    opt = AdamW(params, weight_decay=wd)
     for t, lr in enumerate([1e-3, 2.5e-3, 7e-4], start=1):
         for n, p in params.items():
             p.grad = rng.normal(size=shapes[n]).astype(dtype)

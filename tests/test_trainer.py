@@ -121,9 +121,11 @@ class TestTrain:
 
         monkeypatch.setattr(trainer, "_train_step", no_step)
         model = ViT(TINY, seed=0)
+        split = tiny_split()
+        empty = data.Split(split.images[:0], split.labels[:0])
         with pytest.raises(ValueError, match="split"):
-            trainer.train(model, DropSchedule(), tiny_cfg(), tiny_split(),
-                          tiny_split().subset(0), out_dir=tmp_path / "run")
+            trainer.train(model, DropSchedule(), tiny_cfg(), split, empty,
+                          out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
     def test_dropping_reduces_attention_tokens(self, tmp_path):

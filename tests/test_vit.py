@@ -6,7 +6,7 @@ from tokenskip.tensor import Tensor
 from tokenskip.tokendrop import DropSchedule, MODE_FUSE, MODE_SKIP
 from tokenskip.vit import MODEL_PRESETS, ModelConfig, TokenBatch, ViT
 
-from gradcheck import finite_difference, relative_error
+from gradcheck import finite_difference, float64_model, relative_error
 
 SMALL = ModelConfig(depth=6, heads=2, embed_dim=16, patch_size=4,
                     image_size=32, num_classes=10)
@@ -127,19 +127,18 @@ class TestFfnBlock:
         assert out.embeddings.shape == tokens.embeddings.shape
 
     def test_gradient_matches_finite_differences(self):
-        with T.precision(64):
-            model = ViT(TINY, seed=4)
-            imgs = images_for(TINY, batch=1, seed=4).astype(np.float64)
-            w1 = model.params["blocks.0.ffn.w1"]
+        model = float64_model(TINY, seed=4)
+        imgs = images_for(TINY, batch=1, seed=4).astype(np.float64)
+        w1 = model.params["blocks.0.ffn.w1"]
 
-            def loss():
-                tokens = model.patchify(imgs)
-                return float(model.ffn_block(tokens, 0).embeddings.data.sum())
-
+        def loss():
             tokens = model.patchify(imgs)
-            T.tensor_sum(model.ffn_block(tokens, 0).embeddings).backward()
-            numeric = finite_difference(loss, w1.data)
-            assert relative_error(w1.grad, numeric) < 1e-4
+            return float(model.ffn_block(tokens, 0).embeddings.data.sum())
+
+        tokens = model.patchify(imgs)
+        T.tensor_sum(model.ffn_block(tokens, 0).embeddings).backward()
+        numeric = finite_difference(loss, w1.data)
+        assert relative_error(w1.grad, numeric) < 1e-4
 
 
 class TestClassify:
@@ -203,6 +202,14 @@ class TestForward:
         hot, _ = model.forward(imgs, sched, epoch=5)
         assert not (plain.data == hot.data).all()
 
+    def test_default_epoch_is_past_warmup(self):
+        model = ViT(SMALL, seed=7)
+        sched = DropSchedule(stages=((3, 0.55),), skip_target=5,
+                             mode=MODE_SKIP, warmup_epochs=5)
+        _, diag = model.forward(images_for(SMALL), sched)
+        assert diag.attn_tokens == [65, 65, 65, 65, 30, 65]
+        assert diag.kept_patches == {3: 29}
+
     def test_keep_count_through_layers(self):
         model = ViT(SMALL, seed=7)
         imgs = images_for(SMALL)
@@ -254,26 +261,25 @@ class TestForward:
 
 class TestEndToEndGradient:
     def test_tiny_model_gradients_match_finite_differences(self):
-        with T.precision(64):
-            model = ViT(TINY, seed=10)
-            rng = np.random.default_rng(10)
-            imgs = rng.normal(size=(2, 3, 4, 4))
-            labels = np.array([0, 2])
-            # Depth 2 leaves only layer 0 as a drop site; forward does not
-            # re-validate, so the mechanism itself can still be exercised.
-            sched = DropSchedule(stages=((0, 0.5),), skip_target=1, mode="skip")
+        model = float64_model(TINY, seed=10)
+        rng = np.random.default_rng(10)
+        imgs = rng.normal(size=(2, 3, 4, 4))
+        labels = np.array([0, 2])
+        # Depth 2 leaves only layer 0 as a drop site; forward does not
+        # re-validate, so the mechanism itself can still be exercised.
+        sched = DropSchedule(stages=((0, 0.5),), skip_target=1, mode="skip")
 
-            def loss_fn():
-                logits, _ = model.forward(imgs, sched, epoch=0)
-                return float(T.cross_entropy(logits, labels).data)
-
+        def loss_fn():
             logits, _ = model.forward(imgs, sched, epoch=0)
-            T.cross_entropy(logits, labels).backward()
-            checked = 0
-            for name in ("patch.w", "cls", "pos", "blocks.0.attn.wq",
-                         "blocks.1.ffn.w1", "head.w", "ln_f.g"):
-                p = model.params[name]
-                numeric = finite_difference(loss_fn, p.data, eps=1e-6)
-                assert relative_error(p.grad, numeric) < 1e-3, name
-                checked += 1
-            assert checked == 7
+            return float(T.cross_entropy(logits, labels).data)
+
+        logits, _ = model.forward(imgs, sched, epoch=0)
+        T.cross_entropy(logits, labels).backward()
+        checked = 0
+        for name in ("patch.w", "cls", "pos", "blocks.0.attn.wq",
+                     "blocks.1.ffn.w1", "head.w", "ln_f.g"):
+            p = model.params[name]
+            numeric = finite_difference(loss_fn, p.data, eps=1e-6)
+            assert relative_error(p.grad, numeric) < 1e-3, name
+            checked += 1
+        assert checked == 7
