@@ -1,10 +1,11 @@
 """Checkpoint archive: named parameter tensors with a config header.
 
 Layout (all integers little-endian):
-  magic "TSCK", format version uint32, header-JSON length uint32, header JSON
-  (model config fields), tensor count uint32, then per tensor: name length +
-  utf-8 name, dtype code uint8 (4 or 8 bytes per scalar), ndim uint32, dims
-  uint64 each, raw little-endian payload. Round-trips are bit-exact.
+  magic "TSCK", format version uint32 (2), header-JSON length uint32, header
+  JSON (the six ``ModelConfig`` fields), tensor count uint32, then per
+  tensor: name length + utf-8 name, dtype code uint8 (4 or 8 bytes per
+  scalar), ndim uint32, dims uint64 each, raw little-endian payload.
+  Round-trips are bit-exact.
 
 An archive must hold exactly the parameters of its model config, each with
 its model shape, as float32 or float64 (anything else fails the save with
@@ -28,7 +29,7 @@ from .tensor import Tensor
 from .vit import ModelConfig, ViT
 
 MAGIC = b"TSCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 

@@ -7,20 +7,21 @@ from pathlib import Path
 
 import numpy as np
 
-CIFAR_RECORD_BYTES = 1 + 3 * 32 * 32
+CHANNELS = 3  # both sources yield RGB images
+CIFAR_RECORD_BYTES = 1 + CHANNELS * 32 * 32
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILE = "test_batch.bin"
 
 SOURCES = ("synthetic", "cifar10")
 
 
-class IngestError(ValueError):
+class IngestError(RuntimeError):
     """Raised when a dataset file is structurally corrupt."""
 
 
 @dataclass
 class Split:
-    """One dataset split: float images [n, 3, H, W] plus integer labels [n]."""
+    """One dataset split: float images [n, CHANNELS, H, W], int labels [n]."""
     images: np.ndarray
     labels: np.ndarray
 
@@ -44,7 +45,7 @@ def _read_cifar_file(path: Path):
             f"{path}: invalid label {labels[bad]} at record {bad} "
             f"(byte offset {bad * CIFAR_RECORD_BYTES})"
         )
-    images = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
+    images = records[:, 1:].reshape(-1, CHANNELS, 32, 32).astype(np.float32) / 255.0
     return images, labels
 
 
@@ -68,10 +69,10 @@ def load_cifar10(root) -> tuple[Split, Split]:
 
 
 def class_tints(classes: int) -> np.ndarray:
-    """Deterministic per-class channel offsets, [classes, 3]."""
+    """Deterministic per-class channel offsets, [classes, CHANNELS]."""
     k = np.arange(classes)[:, None]
-    c = np.arange(3)[None, :]
-    return 0.1 * np.cos(2.0 * np.pi * (k / classes + c / 3.0))
+    c = np.arange(CHANNELS)[None, :]
+    return 0.1 * np.cos(2.0 * np.pi * (k / classes + c / CHANNELS))
 
 
 def synthetic(seed: int, n: int, classes: int = 10,
@@ -82,7 +83,7 @@ def synthetic(seed: int, n: int, classes: int = 10,
     models learn the task within a few hundred steps. Fully seeded."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, size=n)
-    images = rng.normal(0.35, 0.12, size=(n, 3, image_size, image_size))
+    images = rng.normal(0.35, 0.12, size=(n, CHANNELS, image_size, image_size))
     images += class_tints(classes)[labels][:, :, None, None]
     grid = int(np.ceil(np.sqrt(classes)))
     cell = image_size // grid
@@ -96,8 +97,8 @@ def synthetic(seed: int, n: int, classes: int = 10,
 
 @dataclass(frozen=True)
 class ChannelStats:
-    mean: np.ndarray  # [3]
-    std: np.ndarray   # [3]
+    mean: np.ndarray  # [CHANNELS]
+    std: np.ndarray   # [CHANNELS]
 
 
 def channel_stats(split: Split) -> ChannelStats:
@@ -107,15 +108,27 @@ def channel_stats(split: Split) -> ChannelStats:
 
 
 def normalize(split: Split, stats: ChannelStats) -> Split:
-    shaped = lambda v: v.reshape(1, 3, 1, 1).astype(split.images.dtype)
+    shaped = lambda v: v.reshape(1, CHANNELS, 1, 1).astype(split.images.dtype)
     return Split((split.images - shaped(stats.mean)) / shaped(stats.std),
                  split.labels)
+
+
+def _prefix(split: Split, n: int, key: str) -> Split:
+    if n > len(split):
+        raise ValueError(f"{key} is {n}, but CIFAR-10 holds {len(split)} "
+                         f"records for it")
+    return Split(split.images[:n], split.labels[:n])
 
 
 def load_dataset(source: str, root=None, *, seed: int = 0,
                  synthetic_n: int = 4096, synthetic_val_n: int = 512,
                  classes: int = 10, image_size: int = 32):
-    """Resolve a dataset source name to normalized (train, val) splits."""
+    """Resolve a dataset source name to normalized (train, val) splits.
+
+    ``synthetic_n`` and ``synthetic_val_n`` size both sources: cifar10 takes
+    that many leading records of its training and test files. The
+    normalization statistics are those of the train split used.
+    """
     if source == "cifar10":
         if not root:
             raise FileNotFoundError("cifar10 needs a dataset root (set dataset.root)")
@@ -123,6 +136,8 @@ def load_dataset(source: str, root=None, *, seed: int = 0,
             raise ValueError(f"cifar10 has 10 classes, model.num_classes is "
                              f"{classes}")
         train, val = load_cifar10(root)
+        train = _prefix(train, synthetic_n, "dataset.train_n")
+        val = _prefix(val, synthetic_val_n, "dataset.val_n")
     elif source == "synthetic":
         train = synthetic(seed, synthetic_n, classes, image_size)
         val = synthetic(seed + 1, synthetic_val_n, classes, image_size)

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .data import CHANNELS
 from .tokendrop import PAST_WARMUP, DropSchedule, plan, validate
-from .vit import ModelConfig, ViT
+from .vit import FFN_RATIO, ModelConfig, ViT
 
 
 class MacCounter:
@@ -77,7 +78,7 @@ def _attention_macs(n: int, config: ModelConfig) -> int:
 
 def _ffn_macs(n: int, config: ModelConfig) -> int:
     d = config.embed_dim
-    return 2 * config.ffn_ratio * n * d * d
+    return 2 * FFN_RATIO * n * d * d
 
 
 def token_counts(config: ModelConfig, schedule: DropSchedule):
@@ -96,7 +97,7 @@ def estimate_flops(config: ModelConfig, schedule: DropSchedule) -> CostReport:
     report = CostReport()
     d = config.embed_dim
     report.patch_embed_macs = (config.num_patches
-                               * config.channels * config.patch_size ** 2 * d)
+                               * CHANNELS * config.patch_size ** 2 * d)
     report.head_macs = d * config.num_classes
     for layer, (attn_n, ffn_n, fused_k) in enumerate(token_counts(config, schedule)):
         report.layers.append(LayerCost(
@@ -117,7 +118,7 @@ def measure_forward_macs(model: ViT, schedule: DropSchedule) -> int:
     """Instrumented oracle: run a real single-sample forward and count MACs."""
     c = model.config
     rng = np.random.default_rng(0)
-    image = rng.normal(size=(1, c.channels, c.image_size,
+    image = rng.normal(size=(1, CHANNELS, c.image_size,
                              c.image_size)).astype(np.float32)
     with T.no_grad(), count_macs() as counter:
         model.forward(image, schedule, epoch=PAST_WARMUP)

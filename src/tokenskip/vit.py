@@ -13,20 +13,21 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as T, tokendrop
+from .data import CHANNELS
 from .tensor import Tensor
 from .tokendrop import PAST_WARMUP, DropSchedule, TokenBatch
+
+FFN_RATIO = 4  # FFN hidden width per embedding width, as in ViT-small
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    depth: int = 12
-    heads: int = 6
-    embed_dim: int = 384
-    ffn_ratio: int = 4
-    patch_size: int = 16
-    image_size: int = 224
-    num_classes: int = 1000
-    channels: int = 3
+    depth: int
+    heads: int
+    embed_dim: int
+    patch_size: int
+    image_size: int
+    num_classes: int
 
     def __post_init__(self):
         for f in fields(self):
@@ -89,12 +90,12 @@ class ViT:
             self.params[name] = Tensor(np.full(shape, value, dtype=np.float32),
                                        requires_grad=True)
 
-        patch_in = c.channels * c.patch_size ** 2
+        patch_in = CHANNELS * c.patch_size ** 2
         normal("patch.w", (patch_in, c.embed_dim))
         const("patch.b", (c.embed_dim,), 0.0)
         normal("cls", (1, 1, c.embed_dim))
         normal("pos", (1, c.num_tokens, c.embed_dim))
-        hidden = c.ffn_ratio * c.embed_dim
+        hidden = FFN_RATIO * c.embed_dim
         for i in range(c.depth):
             pre = f"blocks.{i}."
             const(pre + "ln1.g", (c.embed_dim,), 1.0)
@@ -121,9 +122,9 @@ class ViT:
         if not isinstance(images, Tensor):
             images = Tensor(np.ascontiguousarray(images, self.params["patch.w"].dtype))
         b, ch, h, w = images.shape
-        if ch != c.channels or h != c.image_size or w != c.image_size:
+        if ch != CHANNELS or h != c.image_size or w != c.image_size:
             raise ValueError(
-                f"expected images [*, {c.channels}, {c.image_size}, "
+                f"expected images [*, {CHANNELS}, {c.image_size}, "
                 f"{c.image_size}], got {list(images.shape)}"
             )
         p = c.patch_size

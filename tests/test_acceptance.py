@@ -99,7 +99,7 @@ def test_criterion_01_gradient_integrity():
 def test_criterion_02_mechanism_off_equivalence():
     """Schedule none, all-zero ratios, and warm-up epochs are bit-identical."""
     with criterion(2, "mechanism-off equivalence"):
-        config = ModelConfig(depth=4, heads=2, embed_dim=16, ffn_ratio=4,
+        config = ModelConfig(depth=4, heads=2, embed_dim=16,
                              patch_size=2, image_size=8, num_classes=5)
         model = ViT(config, seed=3)
         rng = np.random.default_rng(1)
@@ -181,8 +181,7 @@ def test_criterion_04_flops_oracle():
         checked = 0
         for depth in (1, 2, 12):
             config = ModelConfig(depth=depth, heads=2, embed_dim=16,
-                                 ffn_ratio=4, patch_size=2, image_size=4,
-                                 num_classes=3)
+                                 patch_size=2, image_size=4, num_classes=3)
             model = ViT(config, seed=0)
             for name, schedule in _matrix_schedules(depth):
                 try:
@@ -209,7 +208,7 @@ def test_criterion_05_keep_count_arithmetic():
         image = np.random.default_rng(0).normal(
             size=(1, 3, 56, 56)).astype(np.float32)
 
-        single_cfg = ModelConfig(depth=3, heads=2, embed_dim=8, ffn_ratio=2,
+        single_cfg = ModelConfig(depth=3, heads=2, embed_dim=8,
                                  patch_size=4, image_size=56, num_classes=3)
         assert single_cfg.num_patches == 196
         model = ViT(single_cfg, seed=0)
@@ -218,7 +217,7 @@ def test_criterion_05_keep_count_arithmetic():
         _, diag = model.forward(image, schedule, epoch=0)
         assert diag.kept_patches == {1: 89}
 
-        two_cfg = ModelConfig(depth=4, heads=2, embed_dim=8, ffn_ratio=2,
+        two_cfg = ModelConfig(depth=4, heads=2, embed_dim=8,
                               patch_size=4, image_size=56, num_classes=3)
         model = ViT(two_cfg, seed=0)
         schedule = DropSchedule(stages=((1, 0.3), (2, 0.3)), skip_target=3,

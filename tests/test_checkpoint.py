@@ -9,7 +9,7 @@ from tokenskip.vit import ModelConfig, ViT
 
 from gradcheck import float64_model
 
-TINY = ModelConfig(depth=2, heads=2, embed_dim=8, ffn_ratio=2,
+TINY = ModelConfig(depth=2, heads=2, embed_dim=8,
                    patch_size=2, image_size=4, num_classes=3)
 
 

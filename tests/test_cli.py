@@ -58,6 +58,34 @@ class TestExitCodes:
         assert code == cli.EXIT_RUNTIME
         assert "dataset.root" in err and not out_dir.exists()
 
+    def test_truncated_cifar10_batch_is_exit_2(self, capsys, tmp_path):
+        _fabricate_root(tmp_path, per_file=8)
+        path = tmp_path / "data_batch_3.bin"
+        path.write_bytes(path.read_bytes()[:-10])
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "train", "--out", str(out_dir), *TINY,
+                             "--set", "dataset.source=cifar10",
+                             "--set", f"dataset.root={tmp_path}",
+                             "--set", "model.num_classes=10")
+        assert code == cli.EXIT_RUNTIME
+        assert "data_batch_3.bin: truncated record at byte offset" in err
+        assert "top-1" not in out and not out_dir.exists()
+
+    @pytest.mark.parametrize("key,n,held", [("dataset.train_n", 41, 40),
+                                            ("dataset.val_n", 9, 8)])
+    def test_cifar10_size_beyond_files_is_exit_1(self, capsys, tmp_path, key,
+                                                 n, held):
+        _fabricate_root(tmp_path, per_file=8)
+        out_dir = tmp_path / "run"
+        code, out, err = run(capsys, "train", "--out", str(out_dir), *TINY,
+                             "--set", "dataset.source=cifar10",
+                             "--set", f"dataset.root={tmp_path}",
+                             "--set", "model.num_classes=10",
+                             "--set", f"{key}={n}")
+        assert code == cli.EXIT_CONFIG
+        assert f"{key} is {n}, but CIFAR-10 holds {held} records" in err
+        assert "top-1" not in out and not out_dir.exists()
+
     @pytest.mark.parametrize("classes", [5, 20])
     def test_cifar10_class_mismatch_is_exit_1(self, capsys, tmp_path,
                                               classes):
@@ -76,12 +104,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("split", [
         ["--set", "dataset.val_n=0"],
         ["--set", "dataset.train_n=2", "--set", "train.batch_size=4"],
-        ["--set", "model.channels=1"]],
-        ids=["empty_val", "train_below_one_batch", "channels_mismatch"])
+        # 32-pixel CIFAR-10 images for a 16-pixel model.
+        ["--set", "dataset.source=cifar10", "--set", "dataset.root={root}",
+         "--set", "model.num_classes=10", "--set", "model.image_size=16"]],
+        ids=["empty_val", "train_below_one_batch", "image_size_mismatch"])
     def test_unusable_split_is_exit_1(self, capsys, tmp_path, split):
+        _fabricate_root(tmp_path, per_file=8)
         out_dir = tmp_path / "run"
         code, out, err = run(capsys, "train", "--out", str(out_dir), *TINY,
-                             *split)
+                             *(arg.format(root=tmp_path) for arg in split))
         assert code == cli.EXIT_CONFIG
         assert "top-1" not in out and "split" in err
         assert not out_dir.exists()
@@ -118,14 +149,12 @@ class TestExitCodes:
         (["schedule.mode=fuse"], "drop_layers")],
         ids=["stages_without_mode", "skip_target_without_mode",
              "skip_without_stage", "fuse_without_stage"])
-    def test_mode_and_stages_must_agree(self, capsys, tmp_path, schedule,
-                                        key):
-        out_dir = tmp_path / "flops"
+    def test_mode_and_stages_must_agree(self, capsys, schedule, key):
         sets = [arg for entry in schedule for arg in ("--set", entry)]
-        code, out, err = run(capsys, "flops", "--out", str(out_dir), *sets)
+        code, out, err = run(capsys, "flops", *sets)
         assert code == cli.EXIT_CONFIG
         assert key in err
-        assert "saving" not in out and not out_dir.exists()
+        assert "saving" not in out
 
     def test_missing_checkpoint_is_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--checkpoint",

@@ -94,8 +94,7 @@ SKIP = {"schedule.mode": "skip", "schedule.drop_layers": "3",
 NON_DEFAULT = {
     "seed": "7",
     "model.depth": "8", "model.heads": "8", "model.embed_dim": "64",
-    "model.ffn_ratio": "2", "model.patch_size": "8", "model.image_size": "64",
-    "model.num_classes": "5", "model.channels": "1",
+    "model.patch_size": "8", "model.image_size": "64", "model.num_classes": "5",
     "train.batch_size": "16", "train.epochs": "3", "train.weight_decay": "0.1",
     "train.learning_rate": "0.002", "train.warmup_lr": "1e-05",
     "train.lr_warmup_epochs": "2",

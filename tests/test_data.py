@@ -123,6 +123,18 @@ class TestLoadDataset:
         # Both splits are normalized with the training statistics.
         np.testing.assert_allclose(train.images.mean(), 0.0, atol=1e-5)
 
+    def test_cifar_takes_leading_records(self, tmp_path):
+        labels, _ = _fabricate_root(tmp_path, per_file=8)
+        train, val = data.load_dataset("cifar10", tmp_path, synthetic_n=12,
+                                       synthetic_val_n=3)
+        assert len(train) == 12 and len(val) == 3
+        np.testing.assert_array_equal(
+            train.labels, np.concatenate(labels[:5])[:12].astype(np.int64))
+        np.testing.assert_array_equal(val.labels, labels[5][:3])
+        # Normalized with the statistics of the 12 records used.
+        np.testing.assert_allclose(train.images.mean(axis=(0, 2, 3)),
+                                   np.zeros(3), atol=1e-5)
+
     def test_unknown_source(self):
         with pytest.raises(ValueError, match="unknown dataset source"):
             data.load_dataset("imagenet")

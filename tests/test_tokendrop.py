@@ -249,7 +249,7 @@ def _plan_matrix(depth, warmup):
 
 
 class TestPlan:
-    CFG = ModelConfig(depth=6, heads=2, embed_dim=8, ffn_ratio=2,
+    CFG = ModelConfig(depth=6, heads=2, embed_dim=8,
                       patch_size=2, image_size=8, num_classes=3)
 
     def test_plan_matches_observed_forward(self, monkeypatch):
@@ -328,7 +328,7 @@ class TestPlan:
         assert all(s.attn_tokens == s.ffn_tokens == 17 for s in steps)
 
     def test_layer_zero_drop_is_planned_without_validation(self):
-        config = ModelConfig(depth=2, heads=2, embed_dim=8, ffn_ratio=2,
+        config = ModelConfig(depth=2, heads=2, embed_dim=8,
                              patch_size=2, image_size=4, num_classes=3)
         sched = td.DropSchedule(stages=((0, 0.5),), skip_target=1,
                                 mode=td.MODE_SKIP)

@@ -17,7 +17,7 @@ from tokenskip.tokendrop import DropSchedule, MODE_SKIP
 from tokenskip.trainer import TrainConfig
 from tokenskip.vit import ModelConfig, ViT
 
-TINY = ModelConfig(depth=2, heads=2, embed_dim=8, ffn_ratio=2,
+TINY = ModelConfig(depth=2, heads=2, embed_dim=8,
                    patch_size=2, image_size=4, num_classes=3)
 
 
@@ -129,7 +129,7 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
     def test_dropping_reduces_attention_tokens(self, tmp_path):
-        config = ModelConfig(depth=4, heads=2, embed_dim=8, ffn_ratio=2,
+        config = ModelConfig(depth=4, heads=2, embed_dim=8,
                              patch_size=2, image_size=8, num_classes=3)
         model = ViT(config, seed=0)
         schedule = DropSchedule(stages=((1, 0.5),), skip_target=3,

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tokenskip import tensor as T
+from tokenskip.data import CHANNELS
 from tokenskip.tensor import Tensor
 from tokenskip.tokendrop import DropSchedule, MODE_FUSE, MODE_SKIP
 from tokenskip.vit import MODEL_PRESETS, ModelConfig, TokenBatch, ViT
@@ -15,7 +18,7 @@ TINY = MODEL_PRESETS["tiny"]
 
 def images_for(config, batch=2, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(batch, config.channels, config.image_size,
+    return rng.normal(size=(batch, CHANNELS, config.image_size,
                             config.image_size)).astype(np.float32)
 
 
@@ -35,6 +38,17 @@ class TestConfig:
         assert cfg.num_patches == 196
         assert cfg.num_tokens == 197
         assert cfg.head_dim == 64
+
+    def test_every_field_varies_across_presets(self):
+        # A field with one value in every preset is a constant, not a knob.
+        for f in dataclasses.fields(ModelConfig):
+            values = {getattr(cfg, f.name) for cfg in MODEL_PRESETS.values()}
+            assert len(values) >= 2, f.name
+
+    def test_fields_have_no_defaults(self):
+        # The presets are the one spelling of each model.
+        with pytest.raises(TypeError):
+            ModelConfig()
 
 
 class TestPatchify:
