@@ -296,7 +296,12 @@ _COMMANDS = {"train": cmd_train, "eval": cmd_eval, "bench": cmd_bench,
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message: a usage error is a configuration
+        # error (argparse's own code is 2), --help a success.
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, ValueError) as exc:

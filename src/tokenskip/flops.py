@@ -8,6 +8,7 @@ must agree exactly.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -20,13 +21,16 @@ from .vit import FFN_RATIO, ModelConfig, ViT
 
 
 class MacCounter:
-    """Accumulates multiply-accumulate counts reported by matmul."""
+    """Accumulates multiply-accumulate counts reported by matmul, from any
+    thread (evaluate runs its shards concurrently)."""
 
     def __init__(self):
         self.total = 0
+        self._lock = threading.Lock()
 
     def add(self, macs: int) -> None:
-        self.total += int(macs)
+        with self._lock:
+            self.total += int(macs)
 
 
 @contextmanager

@@ -387,38 +387,72 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_BLOCK_BYTES = 128 << 10  # one row block of each GELU temporary fits L2
+
+
+def _row_blocks(rows: int, width: int, itemsize: int):
+    """Row slices of at most _GELU_BLOCK_BYTES each (at least one row), and
+    the rows a block of scratch space needs."""
+    step = max(1, _GELU_BLOCK_BYTES // max(1, width * itemsize))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)], min(step, rows)
 
 
 def gelu(t: Tensor) -> Tensor:
-    """GELU nonlinearity (tanh approximation)."""
+    """GELU nonlinearity (tanh approximation).
+
+    Forward and backward walk the [rows, width] view in row blocks whose
+    temporaries stay in L2; every element gets the same operations, so the
+    bits do not depend on the blocking. Without a graph to record, x2 and th
+    live in one block of scratch space instead of full-size arrays.
+    """
     # Computed in place, operand order aside, as
     #   out = 0.5 * x * (1 + tanh(C * (x + 0.044715 * x^3)))
     # with the same roundings; x2 and th are kept for backward.
     x = t.data
-    x2 = x * x
-    th = x2 * x
-    th *= 0.044715
-    th += x
-    th *= _GELU_C
-    np.tanh(th, out=th)
-    out = x * 0.5
-    out *= th + 1.0
+    width = x.shape[-1] if x.ndim else 1
+    xr = x.reshape(x.size // width if width else 0, width)
+    blocks, block_rows = _row_blocks(xr.shape[0], width, x.dtype.itemsize)
+    keep = _GRAD_ENABLED and t.requires_grad
+    scratch = np.empty((1 if keep else 3, block_rows, width), x.dtype)
+    x2, th = (np.empty_like(xr), np.empty_like(xr)) if keep else scratch[1:]
+    out = np.empty_like(xr)
+    for rows in blocks:
+        xb, ob = xr[rows], out[rows]
+        n = len(xb)
+        at = rows if keep else slice(0, n)
+        x2b, thb, tmp = x2[at], th[at], scratch[0, :n]
+        np.multiply(xb, xb, out=x2b)
+        np.multiply(x2b, xb, out=thb)
+        thb *= 0.044715
+        thb += xb
+        thb *= _GELU_C
+        np.tanh(thb, out=thb)
+        np.multiply(xb, 0.5, out=ob)
+        np.add(thb, 1.0, out=tmp)
+        ob *= tmp
+    out = out.reshape(x.shape)
 
     def backward(g):
         # local = 0.5 * (1 + th) + 0.5 * x * (1 - th^2) * C * (1 + 3 * 0.044715 * x^2)
-        du = x2 * (3 * 0.044715)
-        du += 1.0
-        du *= _GELU_C
-        local = th * th
-        np.subtract(1.0, local, out=local)
-        tmp = x * 0.5
-        local *= tmp
-        local *= du
-        np.add(th, 1.0, out=tmp)
-        tmp *= 0.5
-        local += tmp
-        local *= g
-        _accumulate(t, local, own=True)
+        gr = g.reshape(xr.shape)
+        grad = np.empty_like(xr)
+        du, tmp = np.empty((2, block_rows, width), x.dtype)
+        for rows in blocks:
+            xb, x2b, thb, local = xr[rows], x2[rows], th[rows], grad[rows]
+            dub, tb = du[:len(xb)], tmp[:len(xb)]
+            np.multiply(x2b, 3 * 0.044715, out=dub)
+            dub += 1.0
+            dub *= _GELU_C
+            np.multiply(thb, thb, out=local)
+            np.subtract(1.0, local, out=local)
+            np.multiply(xb, 0.5, out=tb)
+            local *= tb
+            local *= dub
+            np.add(thb, 1.0, out=tb)
+            tb *= 0.5
+            local += tb
+            local *= gr[rows]
+        _accumulate(t, grad.reshape(x.shape), own=True)
 
     return _make(out, (t,), backward)
 

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -26,6 +30,14 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 _BENCHMARK_PAIRS = 14  # timed dense/schedule pairs
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy ships with.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
 
 
 @dataclass(frozen=True)
@@ -122,6 +134,95 @@ def _keep_heap() -> None:
     mallopt.restype = ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
         mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+@functools.cache
+def _openblas_threads():
+    """The loaded OpenBLAS's (get, set) thread-count functions, or None.
+
+    Found by scanning the process's mapped libraries, so None wherever
+    ``/proc/self/maps`` is missing, no OpenBLAS is loaded or it exports
+    none of the known symbol pairs.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread per call for the block, then restore the
+    previous count. Concurrent calls from several threads otherwise queue
+    for OpenBLAS's one shared thread pool. A no-op where ``_openblas_threads``
+    finds no controls."""
+    controls = _openblas_threads()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _shard_pool() -> ThreadPoolExecutor:
+    """Threads for evaluate's shards after the first, made on first use."""
+    return ThreadPoolExecutor(max(_cpus() - 1, 1),
+                              thread_name_prefix="tokenskip-eval")
+
+
+def _eval_logits(model: ViT, images: np.ndarray, schedule: DropSchedule,
+                 epoch: int) -> np.ndarray:
+    """Logits of one batch (call under no_grad), run as contiguous shards at
+    once, one per CPU, the calling thread taking the first.
+
+    Every shard holds at least 2 samples: their concatenated logits are then
+    the whole batch's bit for bit. A 1-sample shard would put the head's
+    product on OpenBLAS's matrix-vector path, which rounds differently.
+    Without OpenBLAS thread controls the batch runs whole.
+    """
+    k = min(_cpus(), len(images) // 2) if _openblas_threads() else 1
+    if k <= 1:
+        return model.forward(images, schedule, epoch=epoch)[0].data
+
+    def logits(shard):
+        return model.forward(shard, schedule, epoch=epoch)[0].data
+
+    shards = np.array_split(images, k)
+    with _one_blas_thread():
+        rest = [_shard_pool().submit(logits, shard) for shard in shards[1:]]
+        try:
+            first = logits(shards[0])
+        finally:
+            wait(rest)
+    return np.concatenate([first] + [f.result() for f in rest])
 
 
 def _minor_faults() -> int:
@@ -262,7 +363,8 @@ def evaluate(model: ViT, split: Split, schedule: DropSchedule = DropSchedule(),
     """Top-1 accuracy (%) over a split, dense unless a schedule is given.
 
     A given schedule stays active (epoch past warm-up), matching the
-    training-time topology.
+    training-time topology. Each batch runs as concurrent shards
+    (``_eval_logits``) with the same logits as one forward.
     """
     n = len(split)
     if n == 0:
@@ -273,8 +375,8 @@ def evaluate(model: ViT, split: Split, schedule: DropSchedule = DropSchedule(),
         for start in range(0, n, batch_size):
             images = split.images[start:start + batch_size]
             labels = split.labels[start:start + batch_size]
-            logits, _ = model.forward(images, schedule, epoch=epoch)
-            correct += int((logits.data.argmax(axis=1) == labels).sum())
+            logits = _eval_logits(model, images, schedule, epoch)
+            correct += int((logits.argmax(axis=1) == labels).sum())
     return 100.0 * correct / n
 
 

@@ -41,6 +41,16 @@ class TestExitCodes:
             assert message in err
             assert "top-1" not in out and not out_dir.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["flops", "--out", "x"], "unrecognized arguments: --out x"),
+        (["train"], "the following arguments are required: --out"),
+        (["fly"], "invalid choice: 'fly'"),
+    ], ids=["unknown_option", "missing_option", "unknown_command"])
+    def test_usage_error_is_exit_1(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert code == cli.EXIT_CONFIG
+        assert message in err and "usage: tokenskip" in err
+
     def test_invalid_schedule_is_exit_1(self, capsys):
         for layers, ratios in (("0", "0.5"), ("-1", "0.5"),
                                ("-1,3", "0.3,0.3")):

@@ -298,15 +298,19 @@ def _grads_under(out, upstream):
 @pytest.mark.parametrize("seed", range(3))
 def test_gelu_matches_textbook_formula_bitwise(dtype, seed):
     rng = np.random.default_rng(seed)
-    x = (rng.normal(size=(3, 17, 33)) * 3).astype(dtype)
-    g = rng.normal(size=x.shape).astype(dtype)
-    t = Tensor(x.copy(), requires_grad=True)
-    out = T.gelu(t)
-    _grads_under(out, g)
-    ref_out, ref_local = _gelu_reference(x)
-    assert out.data.dtype == dtype and t.grad.dtype == dtype
-    assert np.array_equal(out.data, ref_out)
-    assert np.array_equal(t.grad, g * ref_local)
+    # One row block, then several with a partial last block (600 rows of 512).
+    for shape in [(3, 17, 33), (2, 300, 512)]:
+        x = (rng.normal(size=shape) * 3).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        t = Tensor(x.copy(), requires_grad=True)
+        out = T.gelu(t)
+        _grads_under(out, g)
+        ref_out, ref_local = _gelu_reference(x)
+        assert out.data.dtype == dtype and t.grad.dtype == dtype
+        assert np.array_equal(out.data, ref_out), shape
+        assert np.array_equal(t.grad, g * ref_local), shape
+        with T.no_grad():
+            assert np.array_equal(T.gelu(Tensor(x)).data, ref_out), shape
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

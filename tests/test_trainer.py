@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenskip import cli, config, data, tokendrop, trainer
-from tokenskip.tokendrop import DropSchedule, MODE_SKIP
+from tokenskip import cli, config, data, flops, tokendrop, trainer
+from tokenskip import tensor as T
+from tokenskip.tokendrop import PAST_WARMUP, DropSchedule, MODE_SKIP
 from tokenskip.trainer import TrainConfig
 from tokenskip.vit import ModelConfig, ViT
 
@@ -154,6 +155,111 @@ class TestEvaluate:
         split = tiny_split(3, 8)
         assert trainer.evaluate(model, split) == trainer.evaluate(
             model, split, DropSchedule())
+
+
+# Desk schedules whose eval batches are sharded across threads.
+DESK_SCHEDULES = {
+    "dense": {"schedule.mode": "none"},
+    "skip": {"schedule.mode": "skip", "schedule.drop_layers": "3",
+             "schedule.drop_ratios": "0.55", "schedule.skip_target": "5"},
+    "two_stage": {"schedule.mode": "skip", "schedule.drop_layers": "2,3",
+                  "schedule.drop_ratios": "0.3,0.3",
+                  "schedule.skip_target": "5"},
+    "fuse": {"schedule.mode": "fuse", "schedule.drop_layers": "3",
+             "schedule.drop_ratios": "0.45"},
+}
+
+
+def desk_case(name, n):
+    cfg = config.build({"model.preset": "desk", **DESK_SCHEDULES[name]})
+    return (ViT(cfg.model, seed=2), cfg.schedule,
+            data.synthetic(3, n, classes=10, image_size=32))
+
+
+@pytest.mark.parametrize("name", list(DESK_SCHEDULES))
+class TestShardedEvaluate:
+    def test_shard_logits_are_the_whole_batch_logits(self, name, monkeypatch):
+        # 2, 5 and 32 shards: as many CPUs as here, an odd count, and the
+        # most a batch of 64 or 65 allows (2 samples each, one of 3).
+        model, schedule, split = desk_case(name, 65)
+        for n in (64, 65):
+            images = split.images[:n]
+            with T.no_grad():
+                whole, _ = model.forward(images, schedule)
+                for cpus in (2, 5, 64):
+                    monkeypatch.setattr(trainer, "_cpus", lambda: cpus)
+                    shards = trainer._eval_logits(model, images, schedule,
+                                                  PAST_WARMUP)
+                    assert np.array_equal(shards, whole.data), (n, cpus)
+
+    def test_no_shard_holds_one_sample(self, name, monkeypatch):
+        # Splits of 65 and 3 end in batches of 1 and 3, which run whole.
+        model, schedule, split = desk_case(name, 65)
+        monkeypatch.setattr(trainer, "_cpus", lambda: 64)
+        calls = []
+
+        def forward(images, *args, **kwargs):
+            calls.append(len(images))
+            return ViT.forward(model, images, *args, **kwargs)
+
+        for n in (64, 65, 3):
+            part = data.Split(split.images[:n], split.labels[:n])
+            serial = 0
+            with T.no_grad():
+                for lo in range(0, n, 64):
+                    logits, _ = model.forward(part.images[lo:lo + 64], schedule)
+                    serial += int((logits.data.argmax(axis=1)
+                                   == part.labels[lo:lo + 64]).sum())
+            calls.clear()
+            monkeypatch.setattr(model, "forward", forward)
+            top1 = trainer.evaluate(model, part, schedule, batch_size=64)
+            monkeypatch.delattr(model, "forward")
+            assert top1 == 100.0 * serial / n
+            assert sum(calls) == n
+            assert all(size >= 2 for size in calls if size != n % 64), calls
+
+
+def test_evaluate_restores_the_blas_thread_count(monkeypatch):
+    controls = trainer._openblas_threads()
+    if controls is None:
+        pytest.skip("no OpenBLAS thread controls found")
+    get, set_ = controls
+    model, schedule, split = desk_case("fuse", 8)
+    monkeypatch.setattr(trainer, "_cpus", lambda: 2)
+    during = []
+
+    def forward(*args, **kwargs):
+        during.append(get())
+        return ViT.forward(model, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", forward)
+    saved = get()
+    try:
+        for threads in (2, 3):
+            set_(threads)
+            trainer.evaluate(model, split, schedule)
+            assert get() == threads
+    finally:
+        set_(saved)
+    assert during == [1] * 4
+
+
+def test_macs_of_a_sharded_evaluate_are_all_counted(monkeypatch):
+    # More shards than CPUs and a short switch interval give a lost update
+    # every chance to happen.
+    model, schedule, split = desk_case("fuse", 64)
+    monkeypatch.setattr(trainer, "_cpus", lambda: 8)
+    expected = (flops.estimate_flops(model.config, schedule).schedule_total
+                * len(split))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            with flops.count_macs() as counter:
+                trainer.evaluate(model, split, schedule)
+            assert counter.total == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestBenchmark:
