@@ -402,8 +402,7 @@ def gelu(t: Tensor) -> Tensor:
 
     Forward and backward walk the [rows, width] view in row blocks whose
     temporaries stay in L2; every element gets the same operations, so the
-    bits do not depend on the blocking. Without a graph to record, x2 and th
-    live in one block of scratch space instead of full-size arrays.
+    bits do not depend on the blocking.
     """
     # Computed in place, operand order aside, as
     #   out = 0.5 * x * (1 + tanh(C * (x + 0.044715 * x^3)))
@@ -412,15 +411,11 @@ def gelu(t: Tensor) -> Tensor:
     width = x.shape[-1] if x.ndim else 1
     xr = x.reshape(x.size // width if width else 0, width)
     blocks, block_rows = _row_blocks(xr.shape[0], width, x.dtype.itemsize)
-    keep = _GRAD_ENABLED and t.requires_grad
-    scratch = np.empty((1 if keep else 3, block_rows, width), x.dtype)
-    x2, th = (np.empty_like(xr), np.empty_like(xr)) if keep else scratch[1:]
-    out = np.empty_like(xr)
+    x2, th, out = np.empty_like(xr), np.empty_like(xr), np.empty_like(xr)
+    tmp = np.empty((block_rows, width), x.dtype)
     for rows in blocks:
-        xb, ob = xr[rows], out[rows]
-        n = len(xb)
-        at = rows if keep else slice(0, n)
-        x2b, thb, tmp = x2[at], th[at], scratch[0, :n]
+        xb, x2b, thb, ob = xr[rows], x2[rows], th[rows], out[rows]
+        tb = tmp[:len(xb)]
         np.multiply(xb, xb, out=x2b)
         np.multiply(x2b, xb, out=thb)
         thb *= 0.044715
@@ -428,8 +423,8 @@ def gelu(t: Tensor) -> Tensor:
         thb *= _GELU_C
         np.tanh(thb, out=thb)
         np.multiply(xb, 0.5, out=ob)
-        np.add(thb, 1.0, out=tmp)
-        ob *= tmp
+        np.add(thb, 1.0, out=tb)
+        ob *= tb
     out = out.reshape(x.shape)
 
     def backward(g):

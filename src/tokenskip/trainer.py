@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import checkpoint, tensor as T, tokendrop
+from . import checkpoint, tensor as T, tokendrop, vit
 from .data import CHANNELS, Split
 from .optim import AdamW, lr_at
 from .tokendrop import PAST_WARMUP, DropSchedule
@@ -30,6 +30,8 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 _BENCHMARK_PAIRS = 14  # timed dense/schedule pairs
+
+_SHARD_SAMPLES = 16  # evaluate's shards start at multiples of this
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy ships with.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -185,37 +187,55 @@ def _one_blas_thread():
 
 
 def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 @functools.cache
 def _shard_pool() -> ThreadPoolExecutor:
     """Threads for evaluate's shards after the first, made on first use."""
-    return ThreadPoolExecutor(max(_cpus() - 1, 1),
-                              thread_name_prefix="tokenskip-eval")
+    return ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="tokenskip-eval")
+
+
+# The functions a shard runs, as this package defines them. Wrappers put in
+# their place from outside (a profiler's, say) need not be safe to call from
+# several threads at once, so evaluate then runs each batch whole.
+_SHARD_CODE = {(owner, name): fn for owner in (ViT, vit, T, tokendrop)
+               for name, fn in vars(owner).items() if callable(fn)}
+
+
+def _own_code() -> bool:
+    return all(vars(owner).get(name) is fn
+               for (owner, name), fn in _SHARD_CODE.items())
 
 
 def _eval_logits(model: ViT, images: np.ndarray, schedule: DropSchedule,
                  epoch: int) -> np.ndarray:
     """Logits of one batch (call under no_grad), run as contiguous shards at
-    once, one per CPU, the calling thread taking the first.
+    once, at most one per CPU, the calling thread taking the first.
 
-    Every shard holds at least 2 samples: their concatenated logits are then
-    the whole batch's bit for bit. A 1-sample shard would put the head's
-    product on OpenBLAS's matrix-vector path, which rounds differently.
-    Without OpenBLAS thread controls the batch runs whole.
+    Each shard starts at a multiple of _SHARD_SAMPLES samples, so at a
+    multiple of 16 rows of every product; all but the last hold a multiple
+    of it, the last the rest. OpenBLAS computes a product's rows in blocks
+    of its kernel's unroll and rounds a partial last block differently.
+    Wherever the unroll divides 16, every row then lies in the same kind of
+    block as in the whole batch, and the concatenated logits are the whole
+    batch's bit for bit. Unaligned shards need not be: 13-sample shards
+    change a 7-class head's logits, and a 1-sample shard takes the
+    matrix-vector path. Without OpenBLAS thread controls, or with a
+    function of the forward path replaced from outside (``_own_code``),
+    the batch runs whole.
     """
-    k = min(_cpus(), len(images) // 2) if _openblas_threads() else 1
+    units = len(images) // _SHARD_SAMPLES
+    sharded = _openblas_threads() is not None and _own_code()
+    k = min(_cpus(), units) if sharded else 1
     if k <= 1:
         return model.forward(images, schedule, epoch=epoch)[0].data
 
     def logits(shard):
         return model.forward(shard, schedule, epoch=epoch)[0].data
 
-    shards = np.array_split(images, k)
+    shards = np.split(images, [_SHARD_SAMPLES * (units * i // k)
+                               for i in range(1, k)])
     with _one_blas_thread():
         rest = [_shard_pool().submit(logits, shard) for shard in shards[1:]]
         try:
@@ -364,7 +384,7 @@ def evaluate(model: ViT, split: Split, schedule: DropSchedule = DropSchedule(),
 
     A given schedule stays active (epoch past warm-up), matching the
     training-time topology. Each batch runs as concurrent shards
-    (``_eval_logits``) with the same logits as one forward.
+    (``_eval_logits``), aligned so that their logits are one forward's.
     """
     n = len(split)
     if n == 0:
