@@ -1,18 +1,20 @@
-"""Checkpoint archive: named parameter tensors with a config header.
+"""Checkpoint archive: a JSON header that describes the model's parameter
+table, then the table's payloads.
 
 Layout (all integers little-endian):
-  magic "TSCK", format version uint32 (2), header-JSON length uint32, header
-  JSON (the six ``ModelConfig`` fields), tensor count uint32, then per
-  tensor: name length + utf-8 name, dtype code uint8 (4 or 8 bytes per
-  scalar), ndim uint32, dims uint64 each, raw little-endian payload.
-  Round-trips are bit-exact.
+  magic "TSCK", format version uint32 (3), header length uint32, then the
+  sorted-keys JSON header ``{"config": <the six ModelConfig fields>,
+  "params": [[name, "<f4" or "<f8", shape], ...]}`` in ``model.params``
+  order, then each parameter's raw little-endian payload in table order, and
+  nothing else. Round-trips are bit-exact.
 
 An archive must hold exactly the parameters of its model config, each with
 its model shape, as float32 or float64 (anything else fails the save with
-CheckpointError). A truncated or inconsistent archive raises CheckpointError;
-a file that is not an archive, or of another format version, ValueError.
-Saves write a temporary file and rename it over the target, so a failed save
-leaves any previous archive intact.
+CheckpointError). A truncated archive, one with trailing bytes, or one whose
+header does not describe its model raises CheckpointError; a file that is
+not an archive, or of another format version, ValueError. Saves write a
+temporary file and rename it over the target, so a failed save leaves any
+previous archive intact.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,9 +32,9 @@ from .tensor import Tensor
 from .vit import ModelConfig, ViT
 
 MAGIC = b"TSCK"
-FORMAT_VERSION = 2
-
-_DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+FORMAT_VERSION = 3
+_PREFIX = struct.Struct("<4sII")  # magic, format version, header length
+_DTYPES = ("<f4", "<f8")
 
 
 class CheckpointError(RuntimeError):
@@ -40,77 +43,74 @@ class CheckpointError(RuntimeError):
 
 def save(model: ViT, path) -> None:
     path = Path(path)
+    table, payloads = [], []
     for name, p in model.params.items():
-        if p.data.dtype.kind != "f" or p.data.dtype.itemsize not in _DTYPE_CODES:
+        dtype = f"<f{p.data.dtype.itemsize}"
+        if p.data.dtype.kind != "f" or dtype not in _DTYPES:
             raise CheckpointError(
                 f"parameter {name!r} has dtype {p.data.dtype}; archives hold "
                 "float32 or float64")
+        table.append([name, dtype, list(p.data.shape)])
+        payloads.append(np.ascontiguousarray(p.data, dtype=dtype))
+    header = json.dumps({"config": asdict(model.config), "params": table},
+                        sort_keys=True).encode()
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            header = json.dumps(asdict(model.config), sort_keys=True).encode()
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", FORMAT_VERSION, len(header)))
+            fh.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(header)))
             fh.write(header)
-            fh.write(struct.pack("<I", len(model.params)))
-            for name, p in model.params.items():
-                blob = name.encode()
-                fh.write(struct.pack("<I", len(blob)))
-                fh.write(blob)
-                code = p.data.dtype.itemsize
-                fh.write(struct.pack("<BI", code, p.data.ndim))
-                fh.write(struct.pack(f"<{p.data.ndim}Q", *p.data.shape))
-                fh.write(np.ascontiguousarray(p.data, dtype=_DTYPE_CODES[code]).tobytes())
+            for payload in payloads:
+                fh.write(payload.tobytes())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _read(fh, size: int, path) -> bytes:
-    # Checked against the file size first, so a corrupt length field cannot
-    # make the read allocate a huge buffer.
-    if fh.tell() + size > os.fstat(fh.fileno()).st_size:
-        raise CheckpointError(f"{path} is truncated")
-    return fh.read(size)
-
-
 def load(path) -> ViT:
     path = Path(path)
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path} is not a checkpoint archive")
-        version, header_len = struct.unpack("<II", _read(fh, 8, path))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        try:
-            config = ModelConfig(**json.loads(_read(fh, header_len, path)))
-        except (ValueError, TypeError) as exc:
-            raise CheckpointError(f"{path} has a bad config header: {exc}") from exc
+    raw = path.read_bytes()
+    if raw[:4] != MAGIC:
+        raise ValueError(f"{path} is not a checkpoint archive")
+    if len(raw) < _PREFIX.size:
+        raise CheckpointError(f"{path} is truncated")
+    _, version, header_len = _PREFIX.unpack_from(raw)
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format version {version}")
+    offset = _PREFIX.size + header_len
+    if offset > len(raw):
+        raise CheckpointError(f"{path} is truncated")
+    try:
+        header = json.loads(raw[_PREFIX.size:offset])
+        config = ModelConfig(**header["config"])
+        if any(type(v) is not int for v in asdict(config).values()):
+            raise TypeError(f"model config fields must be integers: {config}")
         model = ViT(config, seed=0)
-        (count,) = struct.unpack("<I", _read(fh, 4, path))
-        loaded = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read(fh, 4, path))
-            name = _read(fh, name_len, path).decode(errors="replace")
-            code, ndim = struct.unpack("<BI", _read(fh, 5, path))
-            shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, path))
-            if name not in model.params or name in loaded:
-                raise CheckpointError(f"{path} holds unknown or repeated parameter {name!r}")
-            if shape != model.params[name].shape:
-                raise CheckpointError(
-                    f"{path}: parameter {name!r} has shape {list(shape)}, "
-                    f"model expects {list(model.params[name].shape)}")
-            if code not in _DTYPE_CODES:
-                raise CheckpointError(f"{path}: parameter {name!r} has dtype code {code}")
-            dtype = _DTYPE_CODES[code]
-            payload = _read(fh, int(np.prod(shape, dtype=np.int64)) * dtype.itemsize, path)
-            loaded[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-        if fh.read(1):
-            raise CheckpointError(f"{path} has trailing bytes after its last parameter")
-    missing = sorted(set(model.params) - set(loaded))
-    if missing:
-        raise CheckpointError(f"{path} lacks parameters {missing}")
-    for name, arr in loaded.items():
-        model.params[name] = Tensor(arr, requires_grad=True)
+        table = [(name, dtype, tuple(shape))
+                 for name, dtype, shape in header["params"]]
+        names = Counter(name for name, _, _ in table)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CheckpointError(f"{path} has a bad header: {exc!r}") from exc
+    names.subtract(model.params.keys())
+    if any(names.values()):
+        raise CheckpointError(
+            f"{path} does not hold its model's parameters: unknown or repeated "
+            f"{sorted((n for n, c in names.items() if c > 0), key=str)}, "
+            f"missing {sorted(n for n, c in names.items() if c < 0)}")
+    for name, dtype, shape in table:
+        if dtype not in _DTYPES:
+            raise CheckpointError(f"{path}: parameter {name!r} has dtype {dtype!r}")
+        want = model.params[name].shape
+        if shape != want:
+            raise CheckpointError(f"{path}: parameter {name!r} has shape "
+                                  f"{list(shape)}, model expects {list(want)}")
+        count = model.params[name].data.size
+        end = offset + count * np.dtype(dtype).itemsize
+        if end > len(raw):
+            raise CheckpointError(f"{path} is truncated")
+        arr = np.frombuffer(raw, dtype, count, offset).reshape(want)
+        model.params[name] = Tensor(arr.copy(), requires_grad=True)
+        offset = end
+    if offset != len(raw):
+        raise CheckpointError(f"{path} has trailing bytes after its last parameter")
     return model

@@ -95,22 +95,17 @@ def synthetic(seed: int, n: int, classes: int = 10,
                  labels.astype(np.int64))
 
 
-@dataclass(frozen=True)
-class ChannelStats:
-    mean: np.ndarray  # [CHANNELS]
-    std: np.ndarray   # [CHANNELS]
-
-
-def channel_stats(split: Split) -> ChannelStats:
+def channel_stats(split: Split) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel (mean, std) of a split, each [CHANNELS]; a zero std is 1."""
     mean = split.images.mean(axis=(0, 2, 3))
     std = split.images.std(axis=(0, 2, 3))
-    return ChannelStats(mean, np.where(std == 0, 1.0, std))
+    return mean, np.where(std == 0, 1.0, std)
 
 
-def normalize(split: Split, stats: ChannelStats) -> Split:
-    shaped = lambda v: v.reshape(1, CHANNELS, 1, 1).astype(split.images.dtype)
-    return Split((split.images - shaped(stats.mean)) / shaped(stats.std),
-                 split.labels)
+def normalize(split: Split, stats: tuple[np.ndarray, np.ndarray]) -> Split:
+    mean, std = (v.reshape(1, CHANNELS, 1, 1).astype(split.images.dtype)
+                 for v in stats)
+    return Split((split.images - mean) / std, split.labels)
 
 
 def _prefix(split: Split, n: int, key: str) -> Split:

@@ -262,20 +262,29 @@ def reinsert(tokens: TokenBatch, stash: list) -> TokenBatch:
 def fuse(dropped_embeddings: Tensor, dropped_importance: Tensor) -> Tensor:
     """Importance-weighted average of the dropped tokens: [batch, 1, embed_dim].
 
-    Weights are the dropped tokens' importance scores normalized over the
-    dropped set; an all-zero set falls back to uniform weights.
+    Weights are the dropped tokens' importance scores normalized over each
+    sample's dropped set. A sample whose set sums to zero gets uniform
+    weights instead (and passes no gradient to its scores); the fallback of
+    one sample leaves every other sample's fused token as it would be alone.
     """
     b, k, _ = dropped_embeddings.shape
     if k == 0:
         raise ValueError("fuse needs at least one dropped token")
-    sums = dropped_importance.data.sum(axis=1)
-    if (sums > 0).all():
+    positive = dropped_importance.data.sum(axis=1, keepdims=True) > 0
+    if positive.all():
         total = T.tensor_sum(dropped_importance, axis=1, keepdims=True)
         weights = T.div(dropped_importance, total)
     else:
-        log.warning("all-zero importance over dropped set; using uniform fuse weights")
-        weights = Tensor(np.full((b, k), 1.0 / k,
-                                 dtype=dropped_embeddings.dtype))
+        log.warning("all-zero importance over a sample's dropped set; using "
+                    "uniform fuse weights for that sample")
+        # Masked to zero, a fallback sample's scores get total 1 and weights
+        # 0 + 1/k; the others' weights keep their bits (x * 1 + 0).
+        dtype = dropped_importance.dtype
+        masked = T.mul(dropped_importance, Tensor(positive.astype(dtype)))
+        total = T.add(T.tensor_sum(masked, axis=1, keepdims=True),
+                      Tensor((~positive).astype(dtype)))
+        weights = T.add(T.div(masked, total),
+                        Tensor(np.where(positive, 0.0, 1.0 / k).astype(dtype)))
     return T.matmul(T.reshape(weights, (b, 1, k)), dropped_embeddings)
 
 

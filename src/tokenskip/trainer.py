@@ -9,7 +9,6 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -167,25 +166,6 @@ def _openblas_threads():
     return None
 
 
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread per call for the block, then restore the
-    previous count. Concurrent calls from several threads otherwise queue
-    for OpenBLAS's one shared thread pool. A no-op where ``_openblas_threads``
-    finds no controls."""
-    controls = _openblas_threads()
-    if controls is None:
-        yield
-        return
-    get, set_ = controls
-    saved = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(saved)
-
-
 def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
@@ -225,23 +205,27 @@ def _eval_logits(model: ViT, images: np.ndarray, schedule: DropSchedule,
     function of the forward path replaced from outside (``_own_code``),
     the batch runs whole.
     """
-    units = len(images) // _SHARD_SAMPLES
-    sharded = _openblas_threads() is not None and _own_code()
-    k = min(_cpus(), units) if sharded else 1
-    if k <= 1:
-        return model.forward(images, schedule, epoch=epoch)[0].data
-
     def logits(shard):
         return model.forward(shard, schedule, epoch=epoch)[0].data
 
+    units = len(images) // _SHARD_SAMPLES
+    controls = _openblas_threads() if _own_code() else None
+    k = min(_cpus(), units) if controls is not None else 1
+    if k <= 1:
+        return logits(images)
     shards = np.split(images, [_SHARD_SAMPLES * (units * i // k)
                                for i in range(1, k)])
-    with _one_blas_thread():
+    # One BLAS thread per call while the shards run: concurrent calls would
+    # otherwise queue for OpenBLAS's one shared thread pool.
+    get, set_ = controls
+    saved, rest = get(), []
+    set_(1)
+    try:
         rest = [_shard_pool().submit(logits, shard) for shard in shards[1:]]
-        try:
-            first = logits(shards[0])
-        finally:
-            wait(rest)
+        first = logits(shards[0])
+    finally:
+        wait(rest)
+        set_(saved)
     return np.concatenate([first] + [f.result() for f in rest])
 
 
@@ -311,13 +295,11 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
         (out_dir / METRICS_FILE).write_text("")
         (out_dir / TIMING_FILE).write_text("")
 
-    global_step = 0
-    done = False
+    limit = math.inf if max_steps is None else max_steps
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_split))
-        losses = []
+        first_step = len(metrics.step_losses)
         correct = 0
-        seen = 0
         elapsed = 0.0
         faults = _minor_faults()
         for step in range(steps_per_epoch):
@@ -333,17 +315,15 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
                                              labels, epoch, step, lr)
             elapsed += time.perf_counter() - t0
 
-            losses.append(loss)
             metrics.step_losses.append(loss)
             correct += int((logits.argmax(axis=1) == labels).sum())
-            seen += len(idx)
             if step == 0:  # token counts follow from schedule, config, epoch
                 epoch_diag = diag
-            global_step += 1
-            if max_steps is not None and global_step >= max_steps:
-                done = True
+            if len(metrics.step_losses) >= limit:
                 break
         faults = _minor_faults() - faults
+        losses = metrics.step_losses[first_step:]
+        seen = len(losses) * cfg.batch_size
 
         train_top1 = 100.0 * correct / seen
         val_top1 = None
@@ -368,9 +348,9 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
                 fh.write(json.dumps({"epoch": epoch,
                                      "samples_per_sec": record.samples_per_sec,
                                      "minor_faults": record.minor_faults}) + "\n")
-        if stop_at_train_top1 is not None and train_top1 >= stop_at_train_top1:
-            done = True
-        if done:
+        if len(metrics.step_losses) >= limit or (
+                stop_at_train_top1 is not None
+                and train_top1 >= stop_at_train_top1):
             break
 
     if out_dir is not None:
@@ -403,7 +383,6 @@ def evaluate(model: ViT, split: Split, schedule: DropSchedule = DropSchedule(),
 @dataclass(frozen=True)
 class Throughput:
     samples_per_sec: float        # the schedule arm
-    dense_samples_per_sec: float
     saving: float                 # median per-pair step-time reduction
 
 
@@ -415,8 +394,9 @@ def benchmark(model: ViT, schedule: DropSchedule,
     single-arm rates taken apart are not comparable. After a warm-up step
     per arm, dense and schedule steps run as adjacent pairs in seeded random
     order; the saving is the median per-pair ``1 - t_schedule / t_dense``,
-    which cancels drift. Each rate is the batch over its arm's median step
-    time. Steps run at learning rate 0, so all see the same weights.
+    which cancels drift. The rate is the batch over the schedule arm's
+    median step time. Steps run at learning rate 0, so all see the same
+    weights.
     """
     tokendrop.validate(schedule, model.config)
     _keep_heap()
@@ -438,5 +418,4 @@ def benchmark(model: ViT, schedule: DropSchedule,
     order, times = np.array(order[2:]), times[2:]
     dense, dropped = times[order == 0], times[order == 1]
     return Throughput(cfg.batch_size / float(np.median(dropped)),
-                      cfg.batch_size / float(np.median(dense)),
                       float(np.median(1.0 - dropped / dense)))

@@ -171,6 +171,18 @@ class TestExitCodes:
                            str(tmp_path / "nope.ckpt"), *TINY)
         assert code == cli.EXIT_RUNTIME
 
+    def test_missing_config_file_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "nope.cfg"
+        code, out, err = run(capsys, "flops", "--config", str(path))
+        assert code == cli.EXIT_CONFIG
+        assert f"cannot read config file {path}" in err and out == ""
+
+    def test_report_without_result_file_is_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "report", str(tmp_path))
+        assert code == cli.EXIT_RUNTIME
+        assert f"no result file at {tmp_path / 'result.json'}" in err
+        assert out == ""
+
 
 class TestFlops:
     def test_baseline_report(self, capsys):

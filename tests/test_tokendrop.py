@@ -80,6 +80,21 @@ class TestSelectTopk:
         np.testing.assert_array_equal(keep, [[1], [2]])
         np.testing.assert_array_equal(drop, [[2], [1]])
 
+    @pytest.mark.parametrize("ratio", [-0.1, 1.0])
+    def test_ratio_outside_unit_interval_rejected(self, ratio):
+        with pytest.raises(ValueError, match=r"ratio must be in \[0, 1\)"):
+            td.select_topk(np.zeros((1, 4)), ratio)
+
+
+class TestTokenBatch:
+    def test_misshapen_positions_rejected(self):
+        with pytest.raises(ValueError, match="positions shape"):
+            batch_from(np.zeros((2, 3, 4)), np.tile(np.arange(2), (2, 1)))
+
+    def test_cls_must_lead(self):
+        with pytest.raises(ValueError, match="CLS"):
+            batch_from(np.zeros((1, 3, 4)), [[1, 0, 2]])
+
 
 class TestSplitReinsert:
     def test_empty_drop_is_identity(self):
@@ -174,6 +189,27 @@ class TestFuse:
         np.testing.assert_allclose(out.data, [[[1.0, 2.0]]])
         assert "uniform" in caplog.text
 
+    def test_zero_importance_sample_leaves_the_others_alone(self, caplog):
+        emb = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]]])
+        imp = np.array([[0.0, 0.0], [0.9, 0.1]])
+        with caplog.at_level("WARNING"):
+            out = td.fuse(Tensor(emb), Tensor(imp))
+        alone = td.fuse(Tensor(emb[1:]), Tensor(imp[1:]))
+        np.testing.assert_array_equal(out.data[1:], alone.data)
+        np.testing.assert_allclose(out.data, [[[1.0, 2.0]], [[0.9, 0.1]]])
+        assert "uniform" in caplog.text
+
+    def test_zero_importance_sample_passes_no_gradient(self):
+        imp = Tensor(np.array([[0.0, 0.0], [0.9, 0.1]]), requires_grad=True)
+        emb = Tensor(np.arange(8.0).reshape(2, 2, 2))
+        T.tensor_sum(td.fuse(emb, imp)).backward()
+        np.testing.assert_array_equal(imp.grad[0], [0.0, 0.0])
+        assert (imp.grad[1] != 0).all()
+
+    def test_no_dropped_token_rejected(self):
+        with pytest.raises(ValueError, match="at least one dropped token"):
+            td.fuse(Tensor(np.zeros((1, 0, 2))), Tensor(np.zeros((1, 0))))
+
     def test_convex_hull_weights(self):
         rng = np.random.default_rng(4)
         emb = rng.normal(size=(2, 5, 3))
@@ -224,6 +260,31 @@ class TestValidate:
         sched = td.DropSchedule(stages=((7, 0.3), (4, 0.3)), skip_target=10,
                                 mode="skip")
         with pytest.raises(ValueError, match="increasing"):
+            td.validate(sched, self.CFG)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="none/skip/fuse"):
+            td.validate(td.DropSchedule(mode="drop"), self.CFG)
+
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError, match="warmup_epochs"):
+            td.validate(td.DropSchedule(warmup_epochs=-1), self.CFG)
+
+    def test_fuse_takes_one_stage(self):
+        sched = td.DropSchedule(stages=((4, 0.3), (7, 0.3)), mode="fuse")
+        with pytest.raises(ValueError, match="single drop stage"):
+            td.validate(sched, self.CFG)
+
+    def test_skip_requires_a_target(self):
+        sched = td.DropSchedule(stages=((6, 0.3),), mode="skip")
+        with pytest.raises(ValueError, match="skip_target: required"):
+            td.validate(sched, self.CFG)
+
+    @pytest.mark.parametrize("target", [12, 13])
+    def test_skip_target_beyond_depth_rejected(self, target):
+        sched = td.DropSchedule(stages=((6, 0.3),), skip_target=target,
+                                mode="skip")
+        with pytest.raises(ValueError, match=f"skip_target {target} >= depth 12"):
             td.validate(sched, self.CFG)
 
     def test_ratio_one_rejected(self):
