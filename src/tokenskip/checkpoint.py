@@ -10,16 +10,19 @@ Layout (all integers little-endian):
 
 An archive must hold exactly the parameters of its model config, each with
 its model shape, as float32 or float64 (anything else fails the save with
-CheckpointError). A truncated archive, one with trailing bytes, or one whose
-header does not describe its model raises CheckpointError; a file that is
-not an archive, or of another format version, ValueError. Saves write a
-temporary file and rename it over the target, so a failed save leaves any
-previous archive intact.
+CheckpointError). ``load`` checks the archive's table against
+``vit.param_table`` of its header config and builds the model from the
+archive's arrays with ``ViT.from_arrays``, drawing nothing. A truncated
+archive, one with trailing bytes, or one whose header does not describe its
+model raises CheckpointError; a file that is not an archive, or of another
+format version, ValueError. Saves write a temporary file and rename it over
+the target, so a failed save leaves any previous archive intact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from collections import Counter
@@ -28,8 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor
-from .vit import ModelConfig, ViT
+from .vit import ModelConfig, ViT, param_table
 
 MAGIC = b"TSCK"
 FORMAT_VERSION = 3
@@ -85,32 +87,31 @@ def load(path) -> ViT:
         config = ModelConfig(**header["config"])
         if any(type(v) is not int for v in asdict(config).values()):
             raise TypeError(f"model config fields must be integers: {config}")
-        model = ViT(config, seed=0)
+        want = {name: shape for name, (shape, _) in param_table(config).items()}
         table = [(name, dtype, tuple(shape))
                  for name, dtype, shape in header["params"]]
         names = Counter(name for name, _, _ in table)
     except (ValueError, TypeError, KeyError) as exc:
         raise CheckpointError(f"{path} has a bad header: {exc!r}") from exc
-    names.subtract(model.params.keys())
+    names.subtract(want.keys())
     if any(names.values()):
         raise CheckpointError(
             f"{path} does not hold its model's parameters: unknown or repeated "
             f"{sorted((n for n, c in names.items() if c > 0), key=str)}, "
             f"missing {sorted(n for n, c in names.items() if c < 0)}")
+    arrays = {}
     for name, dtype, shape in table:
         if dtype not in _DTYPES:
             raise CheckpointError(f"{path}: parameter {name!r} has dtype {dtype!r}")
-        want = model.params[name].shape
-        if shape != want:
+        if shape != want[name]:
             raise CheckpointError(f"{path}: parameter {name!r} has shape "
-                                  f"{list(shape)}, model expects {list(want)}")
-        count = model.params[name].data.size
+                                  f"{list(shape)}, model expects {list(want[name])}")
+        count = math.prod(want[name])
         end = offset + count * np.dtype(dtype).itemsize
         if end > len(raw):
             raise CheckpointError(f"{path} is truncated")
-        arr = np.frombuffer(raw, dtype, count, offset).reshape(want)
-        model.params[name] = Tensor(arr.copy(), requires_grad=True)
+        arrays[name] = np.frombuffer(raw, dtype, count, offset).reshape(want[name]).copy()
         offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path} has trailing bytes after its last parameter")
-    return model
+    return ViT.from_arrays(config, arrays)

@@ -297,12 +297,9 @@ def tensor_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = t.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accumulate(t, np.full_like(t.data, 1.0) * g, own=True)
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(t, np.broadcast_to(g, t.shape).copy(), own=True)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(t, np.broadcast_to(g, t.shape).copy(), own=True)
 
     return _make(out, (t,), backward)
 

@@ -271,20 +271,17 @@ def fuse(dropped_embeddings: Tensor, dropped_importance: Tensor) -> Tensor:
     if k == 0:
         raise ValueError("fuse needs at least one dropped token")
     positive = dropped_importance.data.sum(axis=1, keepdims=True) > 0
-    if positive.all():
-        total = T.tensor_sum(dropped_importance, axis=1, keepdims=True)
-        weights = T.div(dropped_importance, total)
-    else:
+    if not positive.all():
         log.warning("all-zero importance over a sample's dropped set; using "
                     "uniform fuse weights for that sample")
-        # Masked to zero, a fallback sample's scores get total 1 and weights
-        # 0 + 1/k; the others' weights keep their bits (x * 1 + 0).
-        dtype = dropped_importance.dtype
-        masked = T.mul(dropped_importance, Tensor(positive.astype(dtype)))
-        total = T.add(T.tensor_sum(masked, axis=1, keepdims=True),
-                      Tensor((~positive).astype(dtype)))
-        weights = T.add(T.div(masked, total),
-                        Tensor(np.where(positive, 0.0, 1.0 / k).astype(dtype)))
+    # Masked to zero, a fallback sample's scores get total 1 and weights
+    # 0 + 1/k; the others' weights keep their bits (x * 1 + 0).
+    dtype = dropped_importance.dtype
+    masked = T.mul(dropped_importance, Tensor(positive.astype(dtype)))
+    total = T.add(T.tensor_sum(masked, axis=1, keepdims=True),
+                  Tensor((~positive).astype(dtype)))
+    weights = T.add(T.div(masked, total),
+                    Tensor(np.where(positive, 0.0, 1.0 / k).astype(dtype)))
     return T.matmul(T.reshape(weights, (b, 1, k)), dropped_embeddings)
 
 

@@ -1,5 +1,8 @@
 """Small pre-norm Vision Transformer built on the tensor engine.
 
+``param_table`` declares every parameter; ``ViT`` draws its parameters from
+it, and ``ViT.from_arrays`` (used by ``checkpoint.load``) draws nothing.
+
 The forward pass runs a ``tokendrop.DropSchedule`` (dense by default) on the
 ``tokendrop.TokenBatch`` of each image batch. The attention sublayer returns
 its post-softmax scores beside the token batch, and a drop layer drops
@@ -73,47 +76,48 @@ class ForwardDiagnostics:
     kept_patches: dict = field(default_factory=dict)  # drop layer -> kept patch count
 
 
+def param_table(config: ModelConfig) -> dict:
+    """Name -> (shape, fill) of every ViT parameter, in ``ViT.params`` order.
+
+    A fill of None is a normal draw with mean 0 and std 0.02, made in table
+    order; a number is a constant. SkipViT adds no parameters, so this is a model's table.
+    """
+    c = config
+    d, hidden = c.embed_dim, FFN_RATIO * c.embed_dim
+    block = {"ln1.g": ((d,), 1.0), "ln1.b": ((d,), 0.0),
+             **{"attn." + w: ((d, d), None) for w in ("wq", "wk", "wv", "wo")},
+             **{"attn." + b: ((d,), 0.0) for b in ("bq", "bk", "bv", "bo")},
+             "ln2.g": ((d,), 1.0), "ln2.b": ((d,), 0.0),
+             "ffn.w1": ((d, hidden), None), "ffn.b1": ((hidden,), 0.0),
+             "ffn.w2": ((hidden, d), None), "ffn.b2": ((d,), 0.0)}
+    return {"patch.w": ((CHANNELS * c.patch_size ** 2, d), None), "patch.b": ((d,), 0.0),
+            "cls": ((1, 1, d), None), "pos": ((1, c.num_tokens, d), None),
+            **{f"blocks.{i}.{name}": entry
+               for i in range(c.depth) for name, entry in block.items()},
+            "ln_f.g": ((d,), 1.0), "ln_f.b": ((d,), 0.0),
+            "head.w": ((d, c.num_classes), None), "head.b": ((c.num_classes,), 0.0)}
+
+
 class ViT:
     """ViT backbone with learned patch projection, CLS token and positional embeddings."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        self.config = config
         rng = np.random.default_rng(seed)
-        c = config
-        self.params: dict[str, Tensor] = {}
+        self.config = config
+        self.params: dict[str, Tensor] = {
+            name: Tensor(rng.normal(0.0, 0.02, shape).astype(np.float32)
+                         if fill is None else np.full(shape, fill, np.float32),
+                         requires_grad=True)
+            for name, (shape, fill) in param_table(config).items()}
 
-        def normal(name, shape, std=0.02):
-            self.params[name] = Tensor(
-                rng.normal(0.0, std, shape).astype(np.float32), requires_grad=True)
-
-        def const(name, shape, value):
-            self.params[name] = Tensor(np.full(shape, value, dtype=np.float32),
-                                       requires_grad=True)
-
-        patch_in = CHANNELS * c.patch_size ** 2
-        normal("patch.w", (patch_in, c.embed_dim))
-        const("patch.b", (c.embed_dim,), 0.0)
-        normal("cls", (1, 1, c.embed_dim))
-        normal("pos", (1, c.num_tokens, c.embed_dim))
-        hidden = FFN_RATIO * c.embed_dim
-        for i in range(c.depth):
-            pre = f"blocks.{i}."
-            const(pre + "ln1.g", (c.embed_dim,), 1.0)
-            const(pre + "ln1.b", (c.embed_dim,), 0.0)
-            for proj in ("wq", "wk", "wv", "wo"):
-                normal(pre + "attn." + proj, (c.embed_dim, c.embed_dim))
-            for bias in ("bq", "bk", "bv", "bo"):
-                const(pre + "attn." + bias, (c.embed_dim,), 0.0)
-            const(pre + "ln2.g", (c.embed_dim,), 1.0)
-            const(pre + "ln2.b", (c.embed_dim,), 0.0)
-            normal(pre + "ffn.w1", (c.embed_dim, hidden))
-            const(pre + "ffn.b1", (hidden,), 0.0)
-            normal(pre + "ffn.w2", (hidden, c.embed_dim))
-            const(pre + "ffn.b2", (c.embed_dim,), 0.0)
-        const("ln_f.g", (c.embed_dim,), 1.0)
-        const("ln_f.b", (c.embed_dim,), 0.0)
-        normal("head.w", (c.embed_dim, c.num_classes))
-        const("head.b", (c.num_classes,), 0.0)
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays: dict) -> ViT:
+        """The model holding ``arrays``, one per ``param_table`` name; draws nothing."""
+        model = cls.__new__(cls)
+        model.config = config
+        model.params = {name: Tensor(arrays[name], requires_grad=True)
+                        for name in param_table(config)}
+        return model
 
     def patchify(self, images) -> TokenBatch:
         """Cast images to the parameters' dtype, split them into patch

@@ -52,6 +52,29 @@ def test_float64_parameters_survive(tmp_path):
         np.testing.assert_array_equal(loaded.params[name].data, p.data)
 
 
+def _refuse_random_models(monkeypatch):
+    """Make ``ViT.__init__``, which draws a model at random, fail if called."""
+    def refuse(self, config, seed=0):
+        raise AssertionError("ViT.__init__ called")
+    monkeypatch.setattr(ViT, "__init__", refuse)
+
+
+@pytest.mark.parametrize("make", [lambda: ViT(TINY, seed=11),
+                                  lambda: float64_model(TINY, seed=5)],
+                         ids=["float32", "float64"])
+def test_load_builds_no_random_model(tmp_path, monkeypatch, make):
+    model = make()
+    checkpoint.save(model, tmp_path / "m.ckpt")
+    _refuse_random_models(monkeypatch)
+    loaded = checkpoint.load(tmp_path / "m.ckpt")
+    assert loaded.config == model.config
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        assert loaded.params[name].data.dtype == p.data.dtype
+        np.testing.assert_array_equal(loaded.params[name].data, p.data)
+        assert loaded.params[name].requires_grad
+
+
 def test_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -178,6 +201,19 @@ def test_header_that_does_not_describe_a_model_is_a_checkpoint_error(
     checkpoint.save(ViT(TINY, seed=0), path)
     _rewrite_header(path, edit)
     with pytest.raises(CheckpointError, match="bad header"):
+        checkpoint.load(path)
+
+
+def test_wide_header_config_fails_before_any_model_is_built(tmp_path,
+                                                            monkeypatch):
+    # A header claiming a far wider model than its table describes must be
+    # refused by the table check, before that model's weights are allocated.
+    path = tmp_path / "m.ckpt"
+    checkpoint.save(ViT(TINY, seed=0), path)
+    _rewrite_header(path, lambda h: h["config"].update(embed_dim=4096))
+    _refuse_random_models(monkeypatch)
+    with pytest.raises(CheckpointError, match=r"'patch.w' has shape \[12, 8\], "
+                                              r"model expects \[12, 4096\]"):
         checkpoint.load(path)
 
 

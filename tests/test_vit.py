@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from tokenskip import tensor as T
+from tokenskip import tensor as T, vit
 from tokenskip.data import CHANNELS
 from tokenskip.tensor import Tensor
 from tokenskip.tokendrop import DropSchedule, MODE_FUSE, MODE_SKIP
@@ -49,6 +50,39 @@ class TestConfig:
         # The presets are the one spelling of each model.
         with pytest.raises(TypeError):
             ModelConfig()
+
+
+class TestInit:
+    # Initial weights of each preset and seed, pinned so that the way the
+    # parameters are declared and drawn cannot change their bits unnoticed.
+    DIGESTS = {
+        ("tiny", 0): "7375b92f7f16f58fb9b500a6114c4b20fce9c7daac7e4112d609259e3c64d4c6",
+        ("tiny", 7): "5fedb5a2199ce96e12fcf578bc30823e1dd459a6724bddac9f85ef861d916f36",
+        ("desk", 0): "8b5f0d3c0558a38ab7c6798d80c1212221beef90b6a3b5195642698a57da16e1",
+        ("desk", 7): "12d16c527aaddc8440c1288c12f86f871f7ce0e2fe751878411f4443c2ab0722",
+    }
+
+    @pytest.mark.parametrize("preset,seed", sorted(DIGESTS))
+    def test_init_bytes_are_pinned(self, preset, seed):
+        model = ViT(MODEL_PRESETS[preset], seed=seed)
+        digest = hashlib.sha256(
+            b"".join(p.data.tobytes() for p in model.params.values())).hexdigest()
+        assert digest == self.DIGESTS[preset, seed]
+
+    @pytest.mark.parametrize("preset", ["tiny", "desk"])
+    def test_params_follow_the_param_table(self, preset):
+        config = MODEL_PRESETS[preset]
+        table = vit.param_table(config)
+        model = ViT(config, seed=0)
+        assert list(model.params) == list(table)
+        assert [p.shape for p in model.params.values()] == [
+            shape for shape, _ in table.values()]
+
+    def test_paper_table_is_vit_small_size(self):
+        # ViT-S/16 at 224px with a 1000-class head has 22,050,664 parameters;
+        # the table gives it without allocating the model.
+        table = vit.param_table(MODEL_PRESETS["paper-vit-small"])
+        assert sum(int(np.prod(shape)) for shape, _ in table.values()) == 22_050_664
 
 
 class TestPatchify:
