@@ -1,20 +1,28 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Tensors wrap contiguous numpy arrays. Differentiable operations record their
-inputs and a backward closure; calling ``backward`` on a scalar loss walks the
-recorded graph in reverse topological order and accumulates gradients into
-every reachable tensor that requires them. A tensor's dtype is its data's: an
-ndarray is kept as it is, anything else goes through ``np.asarray``, and a
-non-float result becomes float32. So each op computes in its operands' dtype,
-and a float64 model (a float64 archive, or a gradient check's cast) runs in
-float64 throughout.
+inputs' graph nodes and a backward closure; calling ``backward`` on a scalar
+loss walks the recorded graph in reverse topological order and accumulates
+gradients into every reachable tensor that requires them. A tensor's dtype is
+its data's: an ndarray is kept as it is, anything else goes through
+``np.asarray``, and a non-float result becomes float32. So each op computes in
+its operands' dtype, and a float64 model (a float64 archive, or a gradient
+check's cast) runs in float64 throughout.
 
-Gradient ownership. Backward closures hand gradients to ``_accumulate``
-without copying them. An array passed with ``own=True`` is freshly allocated
-and referenced by nothing else, so the receiving tensor may later add into it
-in place. Any other array (a view of the incoming gradient, or the incoming
-gradient itself) is borrowed by a non-leaf tensor: it is kept by reference and
-copied only when a second gradient arrives for the same tensor. A leaf never
+Graph and gradient ownership. The graph holds nodes, not data: a tensor that
+requires grad owns a node with its shape, dtype, gradient, ownership flag,
+parent nodes and backward closure. A closure keeps its parents' nodes and only
+the arrays its backward reads: matmul the operand that the other's gradient
+needs, softmax its output, layernorm ``xhat``, ``inv`` and the gain, gelu its
+local derivative, cross-entropy the logits, mul and div their operands. add,
+scale, the views, sums, ``repeat_batch``, ``concat`` and the row ops keep
+shapes and indices only, so an output that backward never reads is freed when
+the forward code drops it. Closures hand gradients to ``_accumulate`` without
+copying them. An array passed with ``own=True`` is freshly allocated and
+referenced by nothing else, so the receiving node may later add into it in
+place. Any other array (a view of the incoming gradient, or the incoming
+gradient itself) is borrowed by a non-leaf node: it is kept by reference and
+copied only when a second gradient arrives for the same node. A leaf never
 borrows, so no two leaves share gradient memory and callers may modify a
 leaf's ``.grad`` in place. ``backward`` drops each non-leaf gradient as soon
 as it has been propagated, so afterwards only leaf ``.grad`` is meaningful,
@@ -48,22 +56,41 @@ def no_grad():
         _GRAD_ENABLED = saved
 
 
+class _Node:
+    """A tensor's place in the graph: everything backward needs but its data."""
+
+    __slots__ = ("shape", "dtype", "grad", "grad_owned", "parents",
+                 "backward_fn")
+
+    def __init__(self, shape, dtype, parents: tuple = (), backward_fn=None):
+        self.shape, self.dtype, self.parents = shape, dtype, parents
+        self.grad: Optional[np.ndarray] = None
+        self.grad_owned = False
+        self.backward_fn = backward_fn
+
+
 class Tensor:
     """A dense n-dimensional array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_grad_owned", "_parents",
-                 "_backward_fn")
+    __slots__ = ("_data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = data if isinstance(data, np.ndarray) else np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
-        self.data = arr
-        self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
-        self._grad_owned = False
-        self._parents: tuple = ()
-        self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
+        self._data = arr
+        self._node = _Node(arr.shape, arr.dtype) if requires_grad else None
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, arr: np.ndarray) -> None:
+        # A leaf cast to another dtype takes its gradients in the new one.
+        self._data = arr
+        if self._node is not None:
+            self._node.shape, self._node.dtype = arr.shape, arr.dtype
 
     @property
     def shape(self):
@@ -77,8 +104,29 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self._node.grad = value  # only a tensor that requires grad has one
+
+    @property
+    def _backward_fn(self):
+        return None if self._node is None else self._node.backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn) -> None:
+        self._node.backward_fn = fn
+
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def item(self) -> float:
         return float(self.data)
@@ -93,14 +141,16 @@ class Tensor:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {list(self.shape)}"
             )
+        root = self._node
+        if root is None:
+            return
         tape = ComputeTape(self)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + np.ones_like(self.data)
+        seed = np.ones_like(self.data)
+        root.grad = seed if root.grad is None else root.grad + seed
         for node in reversed(tape.nodes):
-            if node._backward_fn is not None:
+            if node.backward_fn is not None:
                 if node.grad is not None:
-                    node._backward_fn(node.grad)
+                    node.backward_fn(node.grad)
                 node.grad = None
 
     def __repr__(self):
@@ -108,62 +158,66 @@ class Tensor:
 
 
 class ComputeTape:
-    """Topologically ordered record of the differentiable ops behind a tensor.
+    """Topologically ordered nodes of the differentiable ops behind a tensor.
 
     Reverse iteration visits each node exactly once, children before parents.
     """
 
     def __init__(self, root: Tensor):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[_Node] = []
         visited = set()
-        stack = [(root, False)]
+        stack = [] if root._node is None else [(root._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 self.nodes.append(node)
                 continue
-            if id(node) in visited or not node.requires_grad:
+            if id(node) in visited:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 stack.append((parent, False))
 
 
-def _accumulate(t: Tensor, g: np.ndarray, own: bool = False) -> None:
-    """Add g into t's gradient.
+def _accumulate(node: Optional[_Node], g: np.ndarray, own: bool = False) -> None:
+    """Add g, summed down to node's shape if broadcast, into node's gradient.
 
+    A node of None (an operand that needs no gradient) takes nothing.
     own=True promises g is a freshly allocated array no one else references:
-    t keeps it and may add into it in place. Otherwise a non-leaf t borrows g
-    by reference, never writes into it, and replaces it with a fresh sum on
-    the second write; a leaf copies it, so leaves never share gradient memory.
-    Either way the sum has the same bits as copy-then-add.
+    the node keeps it and may add into it in place. Otherwise a non-leaf node
+    borrows g by reference, never writes into it, and replaces it with a fresh
+    sum on the second write; a leaf copies it, so leaves never share gradient
+    memory. Either way the sum has the same bits as copy-then-add.
     """
-    if not t.requires_grad:
+    if node is None:
         return
-    if t.grad is None:
-        if (g.dtype == t.data.dtype and g.shape == t.data.shape
-                and (own or t._backward_fn is not None)):
-            t.grad = g
-            t._grad_owned = own
+    if g.shape != node.shape:
+        g, own = _unbroadcast(g, node.shape), True
+    if node.grad is None:
+        if (g.dtype == node.dtype and g.shape == node.shape
+                and (own or node.backward_fn is not None)):
+            node.grad = g
+            node.grad_owned = own
         else:
-            t.grad = np.array(g, dtype=t.data.dtype, copy=True)
-            t._grad_owned = True
-    elif t._grad_owned:
-        t.grad += g
+            node.grad = np.array(g, dtype=node.dtype, copy=True)
+            node.grad_owned = True
+    elif node.grad_owned:
+        node.grad += g
     else:
         # Same casting as the in-place add, into a fresh array.
-        t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
-        t._grad_owned = True
+        node.grad = np.add(node.grad, g, out=np.empty_like(node.grad))
+        node.grad_owned = True
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor],
+def _make(data: np.ndarray, parents: Sequence[Optional[_Node]],
           backward: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap an op's output; record a node when grad is on and a parent has one."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward_fn = backward
+    if _GRAD_ENABLED:
+        parents = tuple(p for p in parents if p is not None)
+        if parents:
+            out._node = _Node(out.data.shape, out.data.dtype, parents, backward)
     return out
 
 
@@ -183,6 +237,8 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     An optional bias (broadcast to the product's shape, the product's dtype
     kept) is added into the product in place: the bits of
     ``add(matmul(a, b), bias)`` from one output array and one graph node.
+    Backward keeps each operand only if the other's gradient is wanted, and
+    computes no gradient for an operand that needs none.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(
@@ -203,131 +259,133 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if _MAC_COUNTER is not None:
         batch = int(np.prod(out.shape[:-2], dtype=np.int64)) if out.ndim > 2 else 1
         _MAC_COUNTER.add(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
+    na, nb = a._node, b._node
+    nbias = None if bias is None else bias._node
+    a_data = None if nb is None else a.data
+    b_data = None if na is None else b.data
+    flat = b.ndim == 2
 
     def backward(g):
-        if b.ndim == 2 and a.ndim >= 2:
+        if flat:
             g2 = g.reshape(-1, n)
-            _accumulate(a, (g2 @ b.data.T).reshape(a.shape), own=True)
-            _accumulate(b, a.data.reshape(-1, k).T @ g2, own=True)
+            if na is not None:
+                _accumulate(na, (g2 @ b_data.T).reshape(na.shape), own=True)
+            if nb is not None:
+                _accumulate(nb, a_data.reshape(-1, k).T @ g2, own=True)
         else:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(a, _unbroadcast(ga, a.shape), own=True)
-            _accumulate(b, _unbroadcast(gb, b.shape), own=True)
-        if bias is not None:
-            gbias = _unbroadcast(g, bias.shape)
-            _accumulate(bias, gbias, own=gbias is not g)
+            if na is not None:
+                _accumulate(na, np.matmul(g, np.swapaxes(b_data, -1, -2)), own=True)
+            if nb is not None:
+                _accumulate(nb, np.matmul(np.swapaxes(a_data, -1, -2), g), own=True)
+        _accumulate(nbias, g)
 
-    return _make(out, (a, b) if bias is None else (a, b, bias), backward)
+    return _make(out, (na, nb, nbias), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
+    na, nb = a._node, b._node
 
     def backward(g):
-        ga = _unbroadcast(g, a.shape)
-        gb = _unbroadcast(g, b.shape)
-        _accumulate(a, ga, own=ga is not g)
-        _accumulate(b, gb, own=gb is not g)
+        _accumulate(na, g)
+        _accumulate(nb, g)
 
-    return _make(out, (a, b), backward)
+    return _make(a.data + b.data, (na, nb), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd, na, nb = a.data, b.data, a._node, b._node
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape), own=True)
-        _accumulate(b, _unbroadcast(g * a.data, b.shape), own=True)
+        _accumulate(na, g * bd, own=True)
+        _accumulate(nb, g * ad, own=True)
 
-    return _make(out, (a, b), backward)
+    return _make(ad * bd, (na, nb), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
+    ad, bd, na, nb = a.data, b.data, a._node, b._node
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape), own=True)
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape), own=True)
+        _accumulate(na, g / bd, own=True)
+        _accumulate(nb, -g * ad / (bd * bd), own=True)
 
-    return _make(out, (a, b), backward)
+    return _make(ad / bd, (na, nb), backward)
 
 
 def scale(t: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = t.data * s
+    node = t._node
 
     def backward(g):
-        _accumulate(t, g * s, own=True)
+        _accumulate(node, g * s, own=True)
 
-    return _make(out, (t,), backward)
+    return _make(t.data * s, (node,), backward)
 
 
 def transpose(t: Tensor, axis0: int, axis1: int) -> Tensor:
-    out = np.swapaxes(t.data, axis0, axis1)
+    node = t._node
 
     def backward(g):
-        _accumulate(t, np.swapaxes(g, axis0, axis1))
+        _accumulate(node, np.swapaxes(g, axis0, axis1))
 
-    return _make(out, (t,), backward)
+    return _make(np.swapaxes(t.data, axis0, axis1), (node,), backward)
 
 
 def permute(t: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    out = np.transpose(t.data, axes)
+    node = t._node
 
     def backward(g):
-        _accumulate(t, np.transpose(g, inverse))
+        _accumulate(node, np.transpose(g, inverse))
 
-    return _make(out, (t,), backward)
+    return _make(np.transpose(t.data, axes), (node,), backward)
 
 
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    out = t.data.reshape(shape)
+    node = t._node
 
     def backward(g):
-        _accumulate(t, g.reshape(t.shape))
+        _accumulate(node, g.reshape(node.shape))
 
-    return _make(out, (t,), backward)
+    return _make(t.data.reshape(tuple(shape)), (node,), backward)
 
 
 def tensor_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = t.data.sum(axis=axis, keepdims=keepdims)
+    node = t._node
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(t, np.broadcast_to(g, t.shape).copy(), own=True)
+        _accumulate(node, np.broadcast_to(g, node.shape).copy(), own=True)
 
-    return _make(out, (t,), backward)
+    return _make(t.data.sum(axis=axis, keepdims=keepdims), (node,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [t._node for t in tensors]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+            _accumulate(node, g[tuple(idx)])
 
-    return _make(out, tuple(tensors), backward)
+    return _make(out, nodes, backward)
 
 
 def repeat_batch(t: Tensor, batch: int) -> Tensor:
     """Repeat a leading singleton batch axis; gradient sums over the copies."""
     if t.shape[0] != 1:
         raise ValueError(f"repeat_batch needs leading axis 1, got {list(t.shape)}")
-    out = np.repeat(t.data, batch, axis=0)
+    node = t._node
 
     def backward(g):
-        _accumulate(t, g.sum(axis=0, keepdims=True), own=True)
+        _accumulate(node, g.sum(axis=0, keepdims=True), own=True)
 
-    return _make(out, (t,), backward)
+    return _make(np.repeat(t.data, batch, axis=0), (node,), backward)
 
 
 def softmax(t: Tensor, axis: int) -> Tensor:
@@ -337,6 +395,7 @@ def softmax(t: Tensor, axis: int) -> Tensor:
     out = t.data - t.data.max(axis=axis, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
+    node = t._node
 
     def backward(g):
         # One reused temporary; attention scores make this the biggest
@@ -345,9 +404,9 @@ def softmax(t: Tensor, axis: int) -> Tensor:
         inner = tmp.sum(axis=axis, keepdims=True)
         np.subtract(g, inner, out=tmp)
         tmp *= out
-        _accumulate(t, tmp, own=True)
+        _accumulate(node, tmp, own=True)
 
-    return _make(out, (t,), backward)
+    return _make(out, (node,), backward)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -364,23 +423,24 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
+    gain_data, nx, ngain, nbias = gain.data, x._node, gain._node, bias._node
 
     def backward(g):
         # Two full-size buffers: tmp for products with xhat, gx for the result.
         lead = tuple(range(g.ndim - 1))
         tmp = g * xhat
-        _accumulate(gain, tmp.sum(axis=lead), own=True)
-        _accumulate(bias, g.sum(axis=lead), own=True)
-        gx = g * gain.data
+        _accumulate(ngain, tmp.sum(axis=lead), own=True)
+        _accumulate(nbias, g.sum(axis=lead), own=True)
+        gx = g * gain_data
         mean_gx = gx.mean(axis=-1, keepdims=True)
         np.multiply(gx, xhat, out=tmp)
         np.multiply(xhat, tmp.mean(axis=-1, keepdims=True), out=tmp)
         gx -= mean_gx
         gx -= tmp
         gx *= inv
-        _accumulate(x, gx, own=True)
+        _accumulate(nx, gx, own=True)
 
-    return _make(out, (x, gain, bias), backward)
+    return _make(out, (nx, ngain, nbias), backward)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -397,22 +457,27 @@ def _row_blocks(rows: int, width: int, itemsize: int):
 def gelu(t: Tensor) -> Tensor:
     """GELU nonlinearity (tanh approximation).
 
-    Forward and backward walk the [rows, width] view in row blocks whose
-    temporaries stay in L2; every element gets the same operations, so the
-    bits do not depend on the blocking.
+    The forward walks the [rows, width] view in row blocks whose temporaries
+    stay in L2. When the graph records, each block also writes its local
+    derivative, the one array backward keeps and multiplies by the incoming
+    gradient. Every element gets the same operations, so the bits do not
+    depend on the blocking.
     """
     # Computed in place, operand order aside, as
-    #   out = 0.5 * x * (1 + tanh(C * (x + 0.044715 * x^3)))
-    # with the same roundings; x2 and th are kept for backward.
-    x = t.data
+    #   out   = 0.5 * x * (1 + tanh(C * (x + 0.044715 * x^3)))
+    #   local = 0.5 * x * (1 - th^2) * C * (1 + 3 * 0.044715 * x^2)
+    #           + 0.5 * (1 + th),  th = tanh(...)
+    # with the same roundings.
+    x, node = t.data, t._node
     width = x.shape[-1] if x.ndim else 1
     xr = x.reshape(x.size // width if width else 0, width)
     blocks, block_rows = _row_blocks(xr.shape[0], width, x.dtype.itemsize)
-    x2, th, out = np.empty_like(xr), np.empty_like(xr), np.empty_like(xr)
-    tmp = np.empty((block_rows, width), x.dtype)
+    out = np.empty_like(xr)
+    deriv = np.empty_like(xr) if _GRAD_ENABLED and node is not None else None
+    x2, th, tmp = np.empty((3, block_rows, width), x.dtype)
     for rows in blocks:
-        xb, x2b, thb, ob = xr[rows], x2[rows], th[rows], out[rows]
-        tb = tmp[:len(xb)]
+        xb, ob = xr[rows], out[rows]
+        x2b, thb, tb = x2[:len(xb)], th[:len(xb)], tmp[:len(xb)]
         np.multiply(xb, xb, out=x2b)
         np.multiply(x2b, xb, out=thb)
         thb *= 0.044715
@@ -421,32 +486,25 @@ def gelu(t: Tensor) -> Tensor:
         np.tanh(thb, out=thb)
         np.multiply(xb, 0.5, out=ob)
         np.add(thb, 1.0, out=tb)
-        ob *= tb
-    out = out.reshape(x.shape)
-
-    def backward(g):
-        # local = 0.5 * (1 + th) + 0.5 * x * (1 - th^2) * C * (1 + 3 * 0.044715 * x^2)
-        gr = g.reshape(xr.shape)
-        grad = np.empty_like(xr)
-        du, tmp = np.empty((2, block_rows, width), x.dtype)
-        for rows in blocks:
-            xb, x2b, thb, local = xr[rows], x2[rows], th[rows], grad[rows]
-            dub, tb = du[:len(xb)], tmp[:len(xb)]
-            np.multiply(x2b, 3 * 0.044715, out=dub)
-            dub += 1.0
-            dub *= _GELU_C
+        if deriv is not None:
+            local = deriv[rows]
             np.multiply(thb, thb, out=local)
             np.subtract(1.0, local, out=local)
-            np.multiply(xb, 0.5, out=tb)
-            local *= tb
-            local *= dub
-            np.add(thb, 1.0, out=tb)
-            tb *= 0.5
-            local += tb
-            local *= gr[rows]
-        _accumulate(t, grad.reshape(x.shape), own=True)
+            local *= ob
+            x2b *= 3 * 0.044715
+            x2b += 1.0
+            x2b *= _GELU_C
+            local *= x2b
+            np.multiply(tb, 0.5, out=thb)
+            local += thb
+        ob *= tb
+    deriv = None if deriv is None else deriv.reshape(x.shape)
 
-    return _make(out, (t,), backward)
+    def backward(g):
+        # In deriv's dtype, as an in-place multiply would be.
+        _accumulate(node, np.multiply(deriv, g, out=np.empty_like(deriv)), own=True)
+
+    return _make(out.reshape(x.shape), (node,), backward)
 
 
 def _row_index(idx, rows: int) -> np.ndarray:
@@ -476,14 +534,14 @@ def _batch_rows(t: Tensor, idx):
 def gather_rows(t: Tensor, idx) -> Tensor:
     """Select distinct rows per sample: [B, N, D], idx [k] or [B, k] -> [B, k, D]."""
     brange, idx = _batch_rows(t, idx)
-    out = t.data[brange, idx]
+    node = t._node
 
     def backward(g):
-        acc = np.zeros_like(t.data)
+        acc = np.zeros(node.shape, node.dtype)
         acc[brange, idx] = g
-        _accumulate(t, acc, own=True)
+        _accumulate(node, acc, own=True)
 
-    return _make(out, (t,), backward)
+    return _make(t.data[brange, idx], (node,), backward)
 
 
 def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
@@ -495,14 +553,15 @@ def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
     brange, idx = _batch_rows(base, idx)
     out = base.data.copy()
     out[brange, idx] = rows.data
+    nbase, nrows = base._node, rows._node
 
     def backward(g):
         gb = g.copy()
         gb[brange, idx] = 0.0
-        _accumulate(base, gb, own=True)
-        _accumulate(rows, g[brange, idx], own=True)
+        _accumulate(nbase, gb, own=True)
+        _accumulate(nrows, g[brange, idx], own=True)
 
-    return _make(out, (base, rows), backward)
+    return _make(out, (nbase, nrows), backward)
 
 
 def take(t: Tensor, idx, axis: int) -> Tensor:
@@ -510,14 +569,14 @@ def take(t: Tensor, idx, axis: int) -> Tensor:
     idx = _row_index(idx, t.shape[axis])
     if idx.ndim != 1:
         raise ValueError(f"take needs a 1-d index, got shape {list(idx.shape)}")
-    out = np.take(t.data, idx, axis=axis)
+    node = t._node
 
     def backward(g):
-        acc = np.zeros_like(t.data)
+        acc = np.zeros(node.shape, node.dtype)
         np.moveaxis(acc, axis, 0)[idx] = np.moveaxis(g, axis, 0)
-        _accumulate(t, acc, own=True)
+        _accumulate(node, acc, own=True)
 
-    return _make(out, (t,), backward)
+    return _make(np.take(t.data, idx, axis=axis), (node,), backward)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -534,11 +593,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     picked = z[np.arange(b), labels]
     out = np.asarray((lse - picked).mean(), dtype=z.dtype)
+    node = logits._node
 
     def backward(g):
         probs = np.exp(z - zmax)
         probs /= probs.sum(axis=1, keepdims=True)
         probs[np.arange(b), labels] -= 1.0
-        _accumulate(logits, g * probs / b, own=True)
+        _accumulate(node, g * probs / b, own=True)
 
-    return _make(out, (logits,), backward)
+    return _make(out, (node,), backward)

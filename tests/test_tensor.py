@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -354,9 +356,35 @@ def test_matmul_bias_is_one_node_with_three_parents():
     a, w, b = (Tensor(np.ones(s), requires_grad=True)
                for s in [(2, 3), (3, 4), (4,)])
     out = T.matmul(a, w, b)
-    assert out._parents == (a, w, b)
+    assert out._node.parents == (a._node, w._node, b._node)
     assert len(T.ComputeTape(T.tensor_sum(out)).nodes) == 5
     np.testing.assert_array_equal(out.data, np.full((2, 4), 4.0))
+
+
+def test_an_output_backward_does_not_read_is_freed():
+    rng = np.random.default_rng(9)
+    x, w, y = (Tensor(rng.normal(size=s), requires_grad=True)
+               for s in [(3, 4), (4, 2), (3, 2)])
+    h = T.matmul(x, w)
+    product = weakref.ref(h.data)
+    loss = T.tensor_sum(T.add(h, y))
+    del h
+    gc.collect()
+    # add's backward reads no operand, so the graph holds no matmul output.
+    assert product() is None
+    loss.backward()
+    g = np.ones((3, 2))
+    np.testing.assert_array_equal(x.grad, g @ w.data.T)
+    np.testing.assert_array_equal(w.grad, x.data.T @ g)
+    np.testing.assert_array_equal(y.grad, g)
+
+
+def test_a_leaf_given_new_data_takes_gradients_in_its_dtype():
+    x = Tensor(np.array([1.5, -2.0], np.float32), requires_grad=True)
+    x.data = x.data.astype(np.float64)
+    T.tensor_sum(T.mul(x, x)).backward()
+    assert x.grad.dtype == np.float64
+    np.testing.assert_array_equal(x.grad, [3.0, -4.0])
 
 
 def test_add_and_mul_of_one_tensor_with_itself():
