@@ -61,7 +61,7 @@ class AdamW:
             np.divide(m / c1, upd, out=upd)
             upd += self.weight_decay * p.data
             upd *= lr
-            p.data -= upd
+            np.subtract(p.data, upd, out=p.data)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

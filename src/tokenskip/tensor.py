@@ -10,24 +10,26 @@ its operands' dtype, and a float64 model (a float64 archive, or a gradient
 check's cast) runs in float64 throughout.
 
 Graph and gradient ownership. The graph holds nodes, not data: a tensor that
-requires grad owns a node with its shape, dtype, gradient, ownership flag,
-parent nodes and backward closure. A closure keeps its parents' nodes and only
-the arrays its backward reads: matmul the operand that the other's gradient
-needs, softmax its output, layernorm ``xhat``, ``inv`` and the gain, gelu its
-local derivative, cross-entropy the logits, mul and div their operands. add,
-scale, the views, sums, ``repeat_batch``, ``concat`` and the row ops keep
-shapes and indices only, so an output that backward never reads is freed when
-the forward code drops it. Closures hand gradients to ``_accumulate`` without
-copying them. An array passed with ``own=True`` is freshly allocated and
-referenced by nothing else, so the receiving node may later add into it in
-place. Any other array (a view of the incoming gradient, or the incoming
-gradient itself) is borrowed by a non-leaf node: it is kept by reference and
-copied only when a second gradient arrives for the same node. A leaf never
-borrows, so no two leaves share gradient memory and callers may modify a
-leaf's ``.grad`` in place. ``backward`` drops each non-leaf gradient as soon
-as it has been propagated, so afterwards only leaf ``.grad`` is meaningful,
-and a second ``backward`` on the same graph adds exactly one more gradient
-into every leaf.
+requires grad owns a node with its shape, dtype, gradient, parent nodes and
+backward closure. A closure keeps its parents' nodes and only the arrays its
+backward reads: matmul the operand that the other's gradient needs, softmax
+its output, layernorm ``xhat``, ``inv`` and the gain, gelu its local
+derivative, cross-entropy the logits, mul and div their operands. add, scale,
+the views, sums, ``repeat_batch``, ``concat`` and the row ops keep shapes and
+indices only, so an output that backward never reads is freed when the forward
+code drops it. Closures hand gradients to ``_accumulate`` as they are (fresh
+arrays, views, read-only broadcasts), and three rules make that safe:
+
+1. a non-leaf node keeps its first gradient by reference and never writes
+   into it;
+2. a later gradient for a non-leaf node replaces its gradient with a fresh sum;
+3. a leaf keeps its own copy, in its dtype, and adds into it in place.
+
+So no array handed over is ever written, no two leaves share gradient memory,
+and callers may modify a leaf's ``.grad`` in place. ``backward`` drops each
+non-leaf gradient as soon as it has been propagated, so afterwards only leaf
+``.grad`` is meaningful, and a second ``backward`` on the same graph adds
+exactly one more gradient into every leaf.
 """
 
 from __future__ import annotations
@@ -59,13 +61,11 @@ def no_grad():
 class _Node:
     """A tensor's place in the graph: everything backward needs but its data."""
 
-    __slots__ = ("shape", "dtype", "grad", "grad_owned", "parents",
-                 "backward_fn")
+    __slots__ = ("shape", "dtype", "grad", "parents", "backward_fn")
 
     def __init__(self, shape, dtype, parents: tuple = (), backward_fn=None):
         self.shape, self.dtype, self.parents = shape, dtype, parents
         self.grad: Optional[np.ndarray] = None
-        self.grad_owned = False
         self.backward_fn = backward_fn
 
 
@@ -83,14 +83,9 @@ class Tensor:
 
     @property
     def data(self) -> np.ndarray:
+        """The array, written in place but never reassigned, so a node's
+        shape and dtype stay those of the data it was made with."""
         return self._data
-
-    @data.setter
-    def data(self, arr: np.ndarray) -> None:
-        # A leaf cast to another dtype takes its gradients in the new one.
-        self._data = arr
-        if self._node is not None:
-            self._node.shape, self._node.dtype = arr.shape, arr.dtype
 
     @property
     def shape(self):
@@ -145,8 +140,7 @@ class Tensor:
         if root is None:
             return
         tape = ComputeTape(self)
-        seed = np.ones_like(self.data)
-        root.grad = seed if root.grad is None else root.grad + seed
+        _accumulate(root, np.ones_like(self.data))
         for node in reversed(tape.nodes):
             if node.backward_fn is not None:
                 if node.grad is not None:
@@ -180,34 +174,29 @@ class ComputeTape:
                 stack.append((parent, False))
 
 
-def _accumulate(node: Optional[_Node], g: np.ndarray, own: bool = False) -> None:
+def _accumulate(node: Optional[_Node], g: np.ndarray) -> None:
     """Add g, summed down to node's shape if broadcast, into node's gradient.
 
-    A node of None (an operand that needs no gradient) takes nothing.
-    own=True promises g is a freshly allocated array no one else references:
-    the node keeps it and may add into it in place. Otherwise a non-leaf node
-    borrows g by reference, never writes into it, and replaces it with a fresh
-    sum on the second write; a leaf copies it, so leaves never share gradient
-    memory. Either way the sum has the same bits as copy-then-add.
+    A node of None (an operand that needs no gradient) takes nothing. A
+    non-leaf keeps its first gradient by reference (cast to its dtype if need
+    be) and never writes into it; a later one replaces it with a fresh sum. A
+    leaf keeps its own copy, in its dtype, and adds into it in place. Either
+    way the sum has the bits of copy-then-add.
     """
     if node is None:
         return
     if g.shape != node.shape:
-        g, own = _unbroadcast(g, node.shape), True
-    if node.grad is None:
-        if (g.dtype == node.dtype and g.shape == node.shape
-                and (own or node.backward_fn is not None)):
-            node.grad = g
-            node.grad_owned = own
+        g = _unbroadcast(g, node.shape)
+    if node.backward_fn is None:
+        if node.grad is None:
+            node.grad = np.array(g, dtype=node.dtype)
         else:
-            node.grad = np.array(g, dtype=node.dtype, copy=True)
-            node.grad_owned = True
-    elif node.grad_owned:
-        node.grad += g
+            node.grad += g
+    elif node.grad is None:
+        node.grad = np.asarray(g, dtype=node.dtype)
     else:
-        # Same casting as the in-place add, into a fresh array.
+        # Same casting as an in-place add, into a fresh array.
         node.grad = np.add(node.grad, g, out=np.empty_like(node.grad))
-        node.grad_owned = True
 
 
 def _make(data: np.ndarray, parents: Sequence[Optional[_Node]],
@@ -269,14 +258,14 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if flat:
             g2 = g.reshape(-1, n)
             if na is not None:
-                _accumulate(na, (g2 @ b_data.T).reshape(na.shape), own=True)
+                _accumulate(na, (g2 @ b_data.T).reshape(na.shape))
             if nb is not None:
-                _accumulate(nb, a_data.reshape(-1, k).T @ g2, own=True)
+                _accumulate(nb, a_data.reshape(-1, k).T @ g2)
         else:
             if na is not None:
-                _accumulate(na, np.matmul(g, np.swapaxes(b_data, -1, -2)), own=True)
+                _accumulate(na, np.matmul(g, np.swapaxes(b_data, -1, -2)))
             if nb is not None:
-                _accumulate(nb, np.matmul(np.swapaxes(a_data, -1, -2), g), own=True)
+                _accumulate(nb, np.matmul(np.swapaxes(a_data, -1, -2), g))
         _accumulate(nbias, g)
 
     return _make(out, (na, nb, nbias), backward)
@@ -296,8 +285,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd, na, nb = a.data, b.data, a._node, b._node
 
     def backward(g):
-        _accumulate(na, g * bd, own=True)
-        _accumulate(nb, g * ad, own=True)
+        _accumulate(na, g * bd)
+        _accumulate(nb, g * ad)
 
     return _make(ad * bd, (na, nb), backward)
 
@@ -306,8 +295,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     ad, bd, na, nb = a.data, b.data, a._node, b._node
 
     def backward(g):
-        _accumulate(na, g / bd, own=True)
-        _accumulate(nb, -g * ad / (bd * bd), own=True)
+        _accumulate(na, g / bd)
+        _accumulate(nb, -g * ad / (bd * bd))
 
     return _make(ad / bd, (na, nb), backward)
 
@@ -317,7 +306,7 @@ def scale(t: Tensor, s: float) -> Tensor:
     node = t._node
 
     def backward(g):
-        _accumulate(node, g * s, own=True)
+        _accumulate(node, g * s)
 
     return _make(t.data * s, (node,), backward)
 
@@ -357,7 +346,7 @@ def tensor_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(node, np.broadcast_to(g, node.shape).copy(), own=True)
+        _accumulate(node, np.broadcast_to(g, node.shape))
 
     return _make(t.data.sum(axis=axis, keepdims=keepdims), (node,), backward)
 
@@ -383,7 +372,7 @@ def repeat_batch(t: Tensor, batch: int) -> Tensor:
     node = t._node
 
     def backward(g):
-        _accumulate(node, g.sum(axis=0, keepdims=True), own=True)
+        _accumulate(node, g.sum(axis=0, keepdims=True))
 
     return _make(np.repeat(t.data, batch, axis=0), (node,), backward)
 
@@ -404,7 +393,7 @@ def softmax(t: Tensor, axis: int) -> Tensor:
         inner = tmp.sum(axis=axis, keepdims=True)
         np.subtract(g, inner, out=tmp)
         tmp *= out
-        _accumulate(node, tmp, own=True)
+        _accumulate(node, tmp)
 
     return _make(out, (node,), backward)
 
@@ -429,8 +418,8 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         # Two full-size buffers: tmp for products with xhat, gx for the result.
         lead = tuple(range(g.ndim - 1))
         tmp = g * xhat
-        _accumulate(ngain, tmp.sum(axis=lead), own=True)
-        _accumulate(nbias, g.sum(axis=lead), own=True)
+        _accumulate(ngain, tmp.sum(axis=lead))
+        _accumulate(nbias, g.sum(axis=lead))
         gx = g * gain_data
         mean_gx = gx.mean(axis=-1, keepdims=True)
         np.multiply(gx, xhat, out=tmp)
@@ -438,7 +427,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gx -= mean_gx
         gx -= tmp
         gx *= inv
-        _accumulate(nx, gx, own=True)
+        _accumulate(nx, gx)
 
     return _make(out, (nx, ngain, nbias), backward)
 
@@ -502,7 +491,7 @@ def gelu(t: Tensor) -> Tensor:
 
     def backward(g):
         # In deriv's dtype, as an in-place multiply would be.
-        _accumulate(node, np.multiply(deriv, g, out=np.empty_like(deriv)), own=True)
+        _accumulate(node, np.multiply(deriv, g, out=np.empty_like(deriv)))
 
     return _make(out.reshape(x.shape), (node,), backward)
 
@@ -539,7 +528,7 @@ def gather_rows(t: Tensor, idx) -> Tensor:
     def backward(g):
         acc = np.zeros(node.shape, node.dtype)
         acc[brange, idx] = g
-        _accumulate(node, acc, own=True)
+        _accumulate(node, acc)
 
     return _make(t.data[brange, idx], (node,), backward)
 
@@ -558,8 +547,8 @@ def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
     def backward(g):
         gb = g.copy()
         gb[brange, idx] = 0.0
-        _accumulate(nbase, gb, own=True)
-        _accumulate(nrows, g[brange, idx], own=True)
+        _accumulate(nbase, gb)
+        _accumulate(nrows, g[brange, idx])
 
     return _make(out, (nbase, nrows), backward)
 
@@ -574,7 +563,7 @@ def take(t: Tensor, idx, axis: int) -> Tensor:
     def backward(g):
         acc = np.zeros(node.shape, node.dtype)
         np.moveaxis(acc, axis, 0)[idx] = np.moveaxis(g, axis, 0)
-        _accumulate(node, acc, own=True)
+        _accumulate(node, acc)
 
     return _make(np.take(t.data, idx, axis=axis), (node,), backward)
 
@@ -599,6 +588,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         probs = np.exp(z - zmax)
         probs /= probs.sum(axis=1, keepdims=True)
         probs[np.arange(b), labels] -= 1.0
-        _accumulate(node, g * probs / b, own=True)
+        _accumulate(node, g * probs / b)
 
     return _make(out, (node,), backward)

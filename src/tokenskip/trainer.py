@@ -283,6 +283,8 @@ def train(model: ViT, schedule: DropSchedule, cfg: TrainConfig,
     epoch-driven. Timing and the minor-fault count exclude validation and
     checkpointing.
     """
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     check_inputs(model, schedule, cfg, train_split, val_split)
     steps_per_epoch = len(train_split) // cfg.batch_size
     _keep_heap()
@@ -363,9 +365,11 @@ def evaluate(model: ViT, split: Split, schedule: DropSchedule = DropSchedule(),
     """Top-1 accuracy (%) over a split, dense unless a schedule is given.
 
     A given schedule stays active (epoch past warm-up), matching the
-    training-time topology. Each batch runs as concurrent shards
-    (``_eval_logits``), aligned so that their logits are one forward's.
+    training-time topology; one that does not fit the model is a ValueError.
+    Each batch runs as concurrent shards (``_eval_logits``), aligned so that
+    their logits are one forward's.
     """
+    tokendrop.validate(schedule, model.config)
     n = len(split)
     if n == 0:
         raise ValueError("cannot evaluate an empty split")

@@ -7,10 +7,9 @@ from tokenskip.vit import ViT
 
 def float64_model(config, seed: int) -> ViT:
     """A ViT with its parameters cast to float64, so it computes in float64."""
-    model = ViT(config, seed=seed)
-    for p in model.params.values():
-        p.data = p.data.astype(np.float64)
-    return model
+    params = ViT(config, seed=seed).params
+    return ViT.from_arrays(config, {name: p.data.astype(np.float64)
+                                    for name, p in params.items()})
 
 
 def finite_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

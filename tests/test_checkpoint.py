@@ -9,6 +9,7 @@ import pytest
 
 from tokenskip import checkpoint, cli
 from tokenskip.checkpoint import CheckpointError
+from tokenskip.tensor import Tensor
 from tokenskip.vit import ModelConfig, ViT
 
 from gradcheck import float64_model
@@ -137,7 +138,7 @@ def test_unknown_parameter_is_a_checkpoint_error(tmp_path):
 
 def test_misshapen_parameter_is_a_checkpoint_error(tmp_path):
     model = ViT(TINY, seed=0)
-    model.params["head.w"].data = np.zeros((8, 4), dtype=np.float32)
+    model.params["head.w"] = Tensor(np.zeros((8, 4), np.float32), requires_grad=True)
     checkpoint.save(model, tmp_path / "m.ckpt")
     with pytest.raises(CheckpointError, match=r"head.w.*\[8, 4\].*\[8, 3\]"):
         checkpoint.load(tmp_path / "m.ckpt")
@@ -148,7 +149,8 @@ def test_failed_save_keeps_previous_archive(tmp_path):
     checkpoint.save(ViT(TINY, seed=0), path)
     before = path.read_bytes()
     model = ViT(TINY, seed=1)
-    model.params["head.w"].data = model.params["head.w"].data.astype(np.float16)
+    model.params["head.w"] = Tensor(model.params["head.w"].data.astype(np.float16),
+                                    requires_grad=True)
     with pytest.raises(CheckpointError, match="head.w.*float16"):
         checkpoint.save(model, path)
     assert path.read_bytes() == before

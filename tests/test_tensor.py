@@ -5,8 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
-from tokenskip import tensor as T
+from tokenskip import tensor as T, trainer
+from tokenskip.optim import AdamW
 from tokenskip.tensor import Tensor
+from tokenskip.tokendrop import MODE_SKIP, PAST_WARMUP, DropSchedule
+from tokenskip.vit import ModelConfig, ViT
 
 from gradcheck import finite_difference, relative_error
 
@@ -379,9 +382,10 @@ def test_an_output_backward_does_not_read_is_freed():
     np.testing.assert_array_equal(y.grad, g)
 
 
-def test_a_leaf_given_new_data_takes_gradients_in_its_dtype():
-    x = Tensor(np.array([1.5, -2.0], np.float32), requires_grad=True)
-    x.data = x.data.astype(np.float64)
+def test_data_is_read_only_and_a_float64_leaf_takes_float64_gradients():
+    x = Tensor(np.array([1.5, -2.0], np.float64), requires_grad=True)
+    with pytest.raises(AttributeError):
+        x.data = x.data.astype(np.float32)
     T.tensor_sum(T.mul(x, x)).backward()
     assert x.grad.dtype == np.float64
     np.testing.assert_array_equal(x.grad, [3.0, -4.0])
@@ -442,3 +446,26 @@ def test_leaves_never_share_gradient_memory():
             assert not np.shares_memory(gi, gj)
     x.grad += 1.0
     np.testing.assert_array_equal(y.grad, np.ones((3, 4)))
+
+
+def test_no_gradient_handed_to_a_non_leaf_is_written(monkeypatch):
+    handed = []
+    accumulate = T._accumulate
+
+    def spy(node, g):
+        if node is not None and node.backward_fn is not None:
+            handed.append((g, g.copy()))
+        accumulate(node, g)
+
+    monkeypatch.setattr(T, "_accumulate", spy)
+    config = ModelConfig(depth=4, heads=2, embed_dim=8, patch_size=2,
+                         image_size=4, num_classes=3)
+    model = ViT(config, seed=0)
+    schedule = DropSchedule(((1, 0.5),), skip_target=3, mode=MODE_SKIP)
+    rng = np.random.default_rng(10)
+    images = rng.normal(size=(4, 3, 4, 4)).astype(np.float32)
+    trainer._train_step(model, schedule, AdamW(model.params), images,
+                        np.array([0, 1, 2, 0]), PAST_WARMUP, 0, 1e-3)
+    assert handed
+    for g, copy in handed:
+        np.testing.assert_array_equal(g, copy)

@@ -102,6 +102,16 @@ class TestTrain:
         assert [r.train_loss for r in metrics.epochs] == [
             float(np.mean(losses[:3])), float(np.mean(losses[3:]))]
 
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_max_steps_below_one_is_rejected(self, tmp_path, max_steps):
+        model = ViT(TINY, seed=0)
+        before = model.params["head.w"].data.copy()
+        with pytest.raises(ValueError, match="max_steps"):
+            trainer.train(model, DropSchedule(), tiny_cfg(), tiny_split(),
+                          out_dir=tmp_path / "run", max_steps=max_steps)
+        assert not (tmp_path / "run").exists()
+        np.testing.assert_array_equal(model.params["head.w"].data, before)
+
     def test_stop_at_train_top1(self):
         model = ViT(TINY, seed=0)
         metrics = trainer.train(model, DropSchedule(),
@@ -178,6 +188,15 @@ class TestEvaluate:
         split = tiny_split(3, 8)
         assert trainer.evaluate(model, split) == trainer.evaluate(
             model, split, DropSchedule())
+
+    @pytest.mark.parametrize("schedule", [
+        DropSchedule(((5, 0.5),), mode=tokendrop.MODE_FUSE),
+        DropSchedule(((0, 0.5),), mode=tokendrop.MODE_FUSE),
+        DropSchedule(mode="bogus"),
+    ], ids=["fuse_at_5", "fuse_at_0", "bogus_mode"])
+    def test_schedule_that_does_not_fit_the_model_is_rejected(self, schedule):
+        with pytest.raises(ValueError):
+            trainer.evaluate(ViT(TINY, seed=0), tiny_split(), schedule)
 
 
 SKIP = {"schedule.mode": "skip", "schedule.drop_ratios": "0.55"}
