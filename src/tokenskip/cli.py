@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -210,7 +211,8 @@ _OPTIONAL_NUMBERS = ("top1", "predicted_mac_saving", "measured_saving")
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return (math.isfinite(value) if isinstance(value, float)  # not NaN or inf
+            else isinstance(value, int) and not isinstance(value, bool))
 
 
 def _is_result_row(row) -> bool:
@@ -241,7 +243,8 @@ def _load_result_rows(paths) -> list:
                 raise ValueError(
                     f"{path}: a result row is a JSON object with a string "
                     f"schedule, a positive samples_per_sec and a number or "
-                    f"null for {', '.join(_OPTIONAL_NUMBERS)}, got {row!r}")
+                    f"null for {', '.join(_OPTIONAL_NUMBERS)}, every number "
+                    f"finite, got {row!r}")
             rows.append(row)
     return rows
 

@@ -146,18 +146,14 @@ def plan(schedule: DropSchedule, config: ModelConfig,
     """One LayerPlan per layer: the token topology of the forward pass.
 
     Dense before ``warmup_epochs``; the stash is reinserted at the skip target
-    only if something was dropped into it. Does not validate, so a schedule
-    ``validate`` rejects (a layer-0 drop) can still be executed.
+    only if something was dropped into it. Validates first, warm-up included:
+    a schedule ``validate`` rejects cannot be planned, so it cannot be run.
     """
-    n = config.num_tokens
-    if schedule.mode == MODE_NONE or epoch < schedule.warmup_epochs:
-        return [LayerPlan(n, n) for _ in range(config.depth)]
-    ratios = dict(reversed(schedule.stages))  # a layer's first stage wins
-    stashed = 0
-    layers = []
+    validate(schedule, config)
+    ratios = {} if epoch < schedule.warmup_epochs else dict(schedule.stages)
+    n, stashed, layers = config.num_tokens, 0, []
     for layer in range(config.depth):
-        reinsert = (schedule.mode == MODE_SKIP and stashed > 0
-                    and layer == schedule.skip_target)
+        reinsert = stashed > 0 and layer == schedule.skip_target
         if reinsert:
             n, stashed = n + stashed, 0
         attn_n, fused = n, 0

@@ -369,10 +369,11 @@ def evaluate(model: ViT, split: Split, schedule: DropSchedule = DropSchedule(),
     Each batch runs as concurrent shards (``_eval_logits``), aligned so that
     their logits are one forward's.
     """
-    tokendrop.validate(schedule, model.config)
     n = len(split)
     if n == 0:
         raise ValueError("cannot evaluate an empty split")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     _keep_heap()
     correct = 0
     with T.no_grad():
@@ -402,7 +403,6 @@ def benchmark(model: ViT, schedule: DropSchedule,
     median step time. Steps run at learning rate 0, so all see the same
     weights.
     """
-    tokendrop.validate(schedule, model.config)
     _keep_heap()
     c = model.config
     rng = np.random.default_rng(cfg.seed)

@@ -193,14 +193,14 @@ class ViT:
         return T.matmul(h, self.params["head.w"], self.params["head.b"])
 
     def forward(self, images, schedule=DropSchedule(), epoch: int = PAST_WARMUP):
-        """Full forward pass executing the schedule's per-layer token plan
-        (dense before the schedule's warm-up epoch; by default past it)."""
+        """Full forward pass executing ``tokendrop.plan``, so a schedule that
+        ``validate`` rejects cannot run; dense before warm-up (by default past)."""
+        steps = tokendrop.plan(schedule, self.config, epoch)
         stash = []  # (positions, embeddings) pairs awaiting reinsertion
         diag = ForwardDiagnostics()
 
         tokens = self.patchify(images)
-        for layer, step in enumerate(tokendrop.plan(schedule, self.config,
-                                                    epoch)):
+        for layer, step in enumerate(steps):
             if step.reinsert:
                 tokens = tokendrop.reinsert(tokens, stash)
             diag.attn_tokens.append(tokens.num_tokens)

@@ -6,6 +6,7 @@ seconds. Lines are written straight to the real stdout so they appear even
 under pytest capture.
 """
 
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager, nullcontext
@@ -59,18 +60,17 @@ def criterion(number: int, label: str):
 def test_criterion_01_gradient_integrity():
     """Every parameter gradient matches central finite differences (64-bit)."""
     with criterion(1, "gradient integrity"):
-        # Depth 2 leaves no drop layer that passes schedule validation, so
-        # the drop-at-layer-0 schedules exercise the mechanism directly
-        # through the forward pass (which does not re-validate).
+        # Tiny one layer deeper: the shallowest model with a valid drop layer.
+        config = dataclasses.replace(TINY, depth=3)
         schedules = [
-            DropSchedule(stages=((0, 0.5),), skip_target=1, mode=MODE_SKIP),
-            DropSchedule(stages=((0, 0.5),), mode=MODE_FUSE),
+            DropSchedule(stages=((1, 0.5),), skip_target=2, mode=MODE_SKIP),
+            DropSchedule(stages=((1, 0.5),), mode=MODE_FUSE),
         ]
         rng = np.random.default_rng(0)
         images = rng.normal(size=(2, 3, 4, 4))
         labels = np.array([0, 2])
         for schedule in schedules:
-            model = float64_model(TINY, seed=1)
+            model = float64_model(config, seed=1)
 
             def loss_value():
                 logits, _ = model.forward(images, schedule, epoch=0)

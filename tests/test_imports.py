@@ -1,7 +1,8 @@
 """Import structure of the package: modules import each other at module level,
 never inside a function, and ``tokendrop`` needs ``vit`` only for type
 annotations. No hidden inputs: no process-wide mode besides ``no_grad`` and no
-environment variable."""
+environment variable. A schedule is validated only where it is planned or
+before a side effect."""
 
 import ast
 from pathlib import Path
@@ -48,21 +49,39 @@ def test_tokendrop_imports_vit_only_for_type_checking():
     assert [node.module for node in guarded] == ["vit"]
 
 
-def _global_statements(node, owner=None):
-    """(enclosing function, names) of each ``global`` statement under node."""
+def _with_owner(node, owner=None):
+    """(innermost enclosing function name, node) for each node under node."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Global):
-            yield owner, tuple(child.names)
+        yield owner, child
         inner = (child.name if isinstance(child, (ast.FunctionDef,
                                                   ast.AsyncFunctionDef))
                  else owner)
-        yield from _global_statements(child, inner)
+        yield from _with_owner(child, inner)
 
 
 def test_only_global_statement_is_no_grad():
-    found = [(path.name, owner, names) for path in SOURCES
-             for owner, names in _global_statements(ast.parse(path.read_text()))]
+    found = [(path.name, owner, tuple(node.names)) for path in SOURCES
+             for owner, node in _with_owner(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
     assert found == [("tensor.py", "no_grad", ("_GRAD_ENABLED",))]
+
+
+def _calls_validate(node) -> bool:
+    func = getattr(node, "func", None)
+    return (isinstance(func, ast.Name) and func.id == "validate"
+            or isinstance(func, ast.Attribute) and func.attr == "validate")
+
+
+def test_schedule_is_validated_only_by_plan_and_before_side_effects():
+    """``tokendrop.plan`` validates what it plans, so nothing that runs a
+    plan checks again; the config and the train inputs are checked before
+    the data loads and the output directory is made."""
+    callers = [(path.name, owner) for path in SOURCES
+               for owner, node in _with_owner(ast.parse(path.read_text()))
+               if _calls_validate(node)]
+    assert sorted(callers) == [("config.py", "build"),
+                               ("tokendrop.py", "plan"),
+                               ("trainer.py", "check_inputs")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tokenskip import tensor as T
+from tokenskip import data, flops, tensor as T, trainer
+from tokenskip.optim import AdamW
 from tokenskip.tensor import Tensor
 from tokenskip import tokendrop as td
-from tokenskip.vit import ModelConfig, TokenBatch, ViT
+from tokenskip.vit import MODEL_PRESETS, ModelConfig, TokenBatch, ViT
 
 
 def scores_from(scores):
@@ -388,15 +391,64 @@ class TestPlan:
         assert not any(s.reinsert for s in steps)
         assert all(s.attn_tokens == s.ffn_tokens == 17 for s in steps)
 
-    def test_layer_zero_drop_is_planned_without_validation(self):
+    def test_layer_zero_drop_is_rejected(self):
         config = ModelConfig(depth=2, heads=2, embed_dim=8,
                              patch_size=2, image_size=4, num_classes=3)
         sched = td.DropSchedule(stages=((0, 0.5),), skip_target=1,
-                                mode=td.MODE_SKIP)
-        with pytest.raises(ValueError, match="layer 0"):
-            td.validate(sched, config)
-        assert td.plan(sched, config) == [
-            td.LayerPlan(5, 3, 0.5), td.LayerPlan(5, 5, reinsert=True)]
+                                mode=td.MODE_SKIP, warmup_epochs=3)
+        for epoch in (0, td.PAST_WARMUP):  # during warm-up too
+            with pytest.raises(ValueError, match="layer 0"):
+                td.plan(sched, config, epoch)
+
+
+DESK = MODEL_PRESETS["desk"]
+
+# Schedules validate rejects on desk. Executed as planned without the check,
+# the first three drop 32 patches at layer 3 and never return them, and the
+# fourth drops at the final layer.
+REJECTED_ON_DESK = {
+    "bogus_mode": td.DropSchedule(stages=((3, 0.5),), mode="bogus"),
+    "skip_without_target": td.DropSchedule(stages=((3, 0.5),),
+                                           mode=td.MODE_SKIP),
+    "skip_target_9": td.DropSchedule(stages=((3, 0.5),), skip_target=9,
+                                     mode=td.MODE_SKIP),
+    "fuse_at_5": td.DropSchedule(stages=((5, 0.5),), mode=td.MODE_FUSE),
+}
+
+_IMAGES = np.random.default_rng(0).normal(
+    size=(2, 3, DESK.image_size, DESK.image_size)).astype(np.float32)
+_LABELS = np.array([0, 1])
+
+# Everything that runs or prices a schedule, given the desk model.
+ENTRY_POINTS = {
+    "plan": lambda model, s: td.plan(s, model.config),
+    "forward": lambda model, s: model.forward(_IMAGES, s),
+    "token_counts": lambda model, s: flops.token_counts(model.config, s),
+    "estimate_flops": lambda model, s: flops.estimate_flops(model.config, s),
+    "measure_forward_macs": flops.measure_forward_macs,
+    "train_step": lambda model, s: trainer._train_step(
+        model, s, AdamW(model.params), _IMAGES, _LABELS, 0, 0, 0.0),
+    "evaluate": lambda model, s: trainer.evaluate(
+        model, data.Split(_IMAGES, _LABELS), s),
+    "benchmark": lambda model, s: trainer.benchmark(
+        model, s, trainer.TrainConfig(batch_size=2)),
+}
+
+
+@pytest.fixture(scope="module")
+def desk_model():
+    return ViT(DESK, seed=0)
+
+
+@pytest.mark.parametrize("schedule", REJECTED_ON_DESK.values(),
+                         ids=REJECTED_ON_DESK)
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_every_entry_point_rejects_what_validate_rejects(desk_model, entry,
+                                                         schedule):
+    with pytest.raises(ValueError) as rejected:
+        td.validate(schedule, DESK)
+    with pytest.raises(ValueError, match=re.escape(str(rejected.value))):
+        entry(desk_model, schedule)
 
 
 class TestKeepCount:

@@ -198,6 +198,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             trainer.evaluate(ViT(TINY, seed=0), tiny_split(), schedule)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_rejected(self, batch_size, monkeypatch):
+        def no_batch(*args):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr(trainer, "_eval_logits", no_batch)
+        with pytest.raises(ValueError, match="batch_size"):
+            trainer.evaluate(ViT(TINY, seed=0), tiny_split(),
+                             batch_size=batch_size)
+
 
 SKIP = {"schedule.mode": "skip", "schedule.drop_ratios": "0.55"}
 FUSE = {"schedule.mode": "fuse", "schedule.drop_ratios": "0.45"}

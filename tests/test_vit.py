@@ -341,13 +341,12 @@ class TestGraphMemory:
 
 class TestEndToEndGradient:
     def test_tiny_model_gradients_match_finite_differences(self):
-        model = float64_model(TINY, seed=10)
+        # Tiny one layer deeper: the shallowest model with a valid drop layer.
+        model = float64_model(dataclasses.replace(TINY, depth=3), seed=10)
         rng = np.random.default_rng(10)
         imgs = rng.normal(size=(2, 3, 4, 4))
         labels = np.array([0, 2])
-        # Depth 2 leaves only layer 0 as a drop site; forward does not
-        # re-validate, so the mechanism itself can still be exercised.
-        sched = DropSchedule(stages=((0, 0.5),), skip_target=1, mode="skip")
+        sched = DropSchedule(stages=((1, 0.5),), skip_target=2, mode="skip")
 
         def loss_fn():
             logits, _ = model.forward(imgs, sched, epoch=0)
