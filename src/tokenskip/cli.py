@@ -212,7 +212,8 @@ _OPTIONAL_NUMBERS = ("top1", "predicted_mac_saving", "measured_saving")
 
 def _is_number(value) -> bool:
     return (math.isfinite(value) if isinstance(value, float)  # not NaN or inf
-            else isinstance(value, int) and not isinstance(value, bool))
+            else isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)  # converts to a float
 
 
 def _is_result_row(row) -> bool:

@@ -29,7 +29,9 @@ class Split:
         return self.images.shape[0]
 
 
-def _read_cifar_file(path: Path):
+def _read_cifar_file(path: Path) -> np.ndarray:
+    """Every record of one batch file, [n, CIFAR_RECORD_BYTES] uint8, after
+    checking its size and each record's label."""
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size == 0 or raw.size % CIFAR_RECORD_BYTES != 0:
         offset = raw.size - raw.size % CIFAR_RECORD_BYTES
@@ -38,34 +40,61 @@ def _read_cifar_file(path: Path):
             f"(file size {raw.size} is not a multiple of {CIFAR_RECORD_BYTES})"
         )
     records = raw.reshape(-1, CIFAR_RECORD_BYTES)
-    labels = records[:, 0].astype(np.int64)
+    labels = records[:, 0]
     if labels.max() > 9:
         bad = int(np.argmax(labels > 9))
         raise IngestError(
             f"{path}: invalid label {labels[bad]} at record {bad} "
             f"(byte offset {bad * CIFAR_RECORD_BYTES})"
         )
-    images = records[:, 1:].reshape(-1, CHANNELS, 32, 32).astype(np.float32) / 255.0
-    return images, labels
+    return records
 
 
-def load_cifar10(root) -> tuple[Split, Split]:
-    """Load the standard binary-format CIFAR-10 batches from a directory."""
+def _leading_records(paths, n: int) -> tuple[np.ndarray, int]:
+    """Check every record of ``paths`` in order; keep a copy of the first
+    ``n``. Returns them and the number of records checked."""
+    kept, total = [], 0
+    for path in paths:
+        records = _read_cifar_file(path)
+        kept.append(records[:max(n - total, 0)].copy())
+        total += len(records)
+    return np.concatenate(kept), total
+
+
+def _decode(records: np.ndarray, total: int, n: int, key: str) -> Split:
+    if n > total:
+        raise ValueError(f"{key} is {n}, but CIFAR-10 holds {total} "
+                         f"records for it")
+    images = records[:, 1:].reshape(-1, CHANNELS, 32, 32).astype(np.float32)
+    images /= 255.0
+    return Split(images, records[:, 0].astype(np.int64))
+
+
+def _train_paths(root: Path):
+    # Lazy, so a corrupt earlier batch is reported before a missing later one.
+    for name in CIFAR_TRAIN_FILES:
+        path = root / name
+        if not path.exists():
+            raise FileNotFoundError(f"missing CIFAR-10 batch {path}")
+        yield path
+
+
+def load_cifar10(root, train_n: int, val_n: int) -> tuple[Split, Split]:
+    """The leading ``train_n`` training and ``val_n`` test records of the
+    standard binary-format CIFAR-10 batches in a directory.
+
+    Every record of all six files is size- and label-checked, one file at a
+    time, but only the returned records are decoded to float32.
+    """
     root = Path(root)
     # Tolerate the conventional extracted directory name.
     if not (root / CIFAR_TEST_FILE).exists() \
             and (root / "cifar-10-batches-bin" / CIFAR_TEST_FILE).exists():
         root = root / "cifar-10-batches-bin"
-    train_parts = []
-    for name in CIFAR_TRAIN_FILES:
-        path = root / name
-        if not path.exists():
-            raise FileNotFoundError(f"missing CIFAR-10 batch {path}")
-        train_parts.append(_read_cifar_file(path))
-    test_images, test_labels = _read_cifar_file(root / CIFAR_TEST_FILE)
-    train = Split(np.concatenate([p[0] for p in train_parts]),
-                  np.concatenate([p[1] for p in train_parts]))
-    return train, Split(test_images, test_labels)
+    train = _leading_records(_train_paths(root), train_n)
+    val = _leading_records([root / CIFAR_TEST_FILE], val_n)
+    return (_decode(*train, train_n, "dataset.train_n"),
+            _decode(*val, val_n, "dataset.val_n"))
 
 
 def class_tints(classes: int) -> np.ndarray:
@@ -75,24 +104,37 @@ def class_tints(classes: int) -> np.ndarray:
     return 0.1 * np.cos(2.0 * np.pi * (k / classes + c / CHANNELS))
 
 
+SYNTHETIC_CHUNK = 256  # samples drawn in float64 at a time
+
+
 def synthetic(seed: int, n: int, classes: int = 10,
               image_size: int = 32) -> Split:
     """Class-conditional patterns for CI: class k gets a bright square in
     grid cell k plus a class-specific color tint on a noisy background. The
     tint makes the class linearly readable from pooled features, so small
-    models learn the task within a few hundred steps. Fully seeded."""
+    models learn the task within a few hundred steps. Fully seeded.
+
+    Images are drawn, tinted, brightened and clipped in float64,
+    ``SYNTHETIC_CHUNK`` samples at a time, each chunk cast straight into the
+    float32 result. The noise is consumed in sample order, so the bytes do
+    not depend on the chunk size.
+    """
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, size=n)
-    images = rng.normal(0.35, 0.12, size=(n, CHANNELS, image_size, image_size))
-    images += class_tints(classes)[labels][:, :, None, None]
+    tints = class_tints(classes)
     grid = int(np.ceil(np.sqrt(classes)))
     cell = image_size // grid
-    for i, k in enumerate(labels):
-        r, c = divmod(int(k), grid)
-        y0, x0 = r * cell, c * cell
-        images[i, :, y0:y0 + cell, x0:x0 + cell] += 0.6
-    return Split(np.clip(images, 0.0, 1.0).astype(np.float32),
-                 labels.astype(np.int64))
+    images = np.empty((n, CHANNELS, image_size, image_size), np.float32)
+    for start in range(0, n, SYNTHETIC_CHUNK):
+        chunk_labels = labels[start:start + SYNTHETIC_CHUNK]
+        chunk = rng.normal(0.35, 0.12, size=(len(chunk_labels),) + images.shape[1:])
+        chunk += tints[chunk_labels][:, :, None, None]
+        for image, k in zip(chunk, chunk_labels):
+            r, c = divmod(int(k), grid)
+            y0, x0 = r * cell, c * cell
+            image[:, y0:y0 + cell, x0:x0 + cell] += 0.6
+        images[start:start + len(chunk)] = np.clip(chunk, 0.0, 1.0, out=chunk)
+    return Split(images, labels.astype(np.int64))
 
 
 def channel_stats(split: Split) -> tuple[np.ndarray, np.ndarray]:
@@ -105,14 +147,9 @@ def channel_stats(split: Split) -> tuple[np.ndarray, np.ndarray]:
 def normalize(split: Split, stats: tuple[np.ndarray, np.ndarray]) -> Split:
     mean, std = (v.reshape(1, CHANNELS, 1, 1).astype(split.images.dtype)
                  for v in stats)
-    return Split((split.images - mean) / std, split.labels)
-
-
-def _prefix(split: Split, n: int, key: str) -> Split:
-    if n > len(split):
-        raise ValueError(f"{key} is {n}, but CIFAR-10 holds {len(split)} "
-                         f"records for it")
-    return Split(split.images[:n], split.labels[:n])
+    images = split.images - mean
+    images /= std
+    return Split(images, split.labels)
 
 
 def load_dataset(source: str, root=None, *, seed: int = 0,
@@ -122,7 +159,11 @@ def load_dataset(source: str, root=None, *, seed: int = 0,
 
     ``synthetic_n`` and ``synthetic_val_n`` size both sources: cifar10 takes
     that many leading records of its training and test files. The
-    normalization statistics are those of the train split used.
+    normalization statistics are those of the train split used. A source
+    holds the float32 splits it returns plus one bounded chunk: a
+    ``SYNTHETIC_CHUNK`` of float64 noise, or one CIFAR-10 file's raw bytes
+    while it is checked. Taking the statistics and normalizing each hold
+    one more train-sized float32 array at their peak.
     """
     if source == "cifar10":
         if not root:
@@ -130,13 +171,12 @@ def load_dataset(source: str, root=None, *, seed: int = 0,
         if classes != 10:
             raise ValueError(f"cifar10 has 10 classes, model.num_classes is "
                              f"{classes}")
-        train, val = load_cifar10(root)
-        train = _prefix(train, synthetic_n, "dataset.train_n")
-        val = _prefix(val, synthetic_val_n, "dataset.val_n")
+        train, val = load_cifar10(root, synthetic_n, synthetic_val_n)
     elif source == "synthetic":
         train = synthetic(seed, synthetic_n, classes, image_size)
         val = synthetic(seed + 1, synthetic_val_n, classes, image_size)
     else:
         raise ValueError(f"unknown dataset source {source!r}")
     stats = channel_stats(train)
-    return normalize(train, stats), normalize(val, stats)
+    train = normalize(train, stats)  # frees the raw train split before val
+    return train, normalize(val, stats)

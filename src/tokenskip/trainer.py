@@ -401,8 +401,9 @@ def benchmark(model: ViT, schedule: DropSchedule,
     order; the saving is the median per-pair ``1 - t_schedule / t_dense``,
     which cancels drift. The rate is the batch over the schedule arm's
     median step time. Steps run at learning rate 0, so all see the same
-    weights.
+    weights. The schedule is planned first, so a rejected one runs no step.
     """
+    tokendrop.plan(schedule, model.config)
     _keep_heap()
     c = model.config
     rng = np.random.default_rng(cfg.seed)

@@ -341,11 +341,13 @@ class TestSweepAndReport:
         {"schedule": "baseline", "mode": "none",
          "samples_per_sec": float("inf")},
         {"schedule": "baseline", "mode": "none", "samples_per_sec": 10.0,
-         "top1": float("nan")}],
+         "top1": float("nan")},
+        {"schedule": "baseline", "mode": "none", "samples_per_sec": 10 ** 400}],
         ids=["list", "number", "no_schedule", "no_samples_per_sec",
              "zero_baseline_rate", "string_top1", "number_schedule",
              "bool_samples_per_sec", "string_measured_saving",
-             "infinite_samples_per_sec", "nan_top1"])
+             "infinite_samples_per_sec", "nan_top1",
+             "huge_int_samples_per_sec"])
     def test_malformed_row_is_exit_1(self, capsys, tmp_path, row):
         path = tmp_path / "result.json"
         path.write_text(json.dumps(row))

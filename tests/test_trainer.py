@@ -365,6 +365,16 @@ class TestBenchmark:
         for k, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[k])
 
+    def test_rejected_schedule_runs_no_step(self, monkeypatch):
+        arms = []
+        monkeypatch.setattr(trainer, "_train_step",
+                            lambda model, schedule, *rest: arms.append(schedule))
+        model = ViT(TINY, seed=0)
+        fuse_at_last = DropSchedule(stages=((1, 0.5),), mode=tokendrop.MODE_FUSE)
+        with pytest.raises(ValueError, match="final layer"):
+            trainer.benchmark(model, fuse_at_last, tiny_cfg(batch_size=4))
+        assert arms == []
+
     def test_infinite_loss_fails(self):
         # As in the train test, the seeded batch holds a label other than
         # 0: the loss is +inf while every gradient stays finite.
