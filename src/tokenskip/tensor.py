@@ -536,10 +536,16 @@ def gather_rows(t: Tensor, idx) -> Tensor:
 def scatter_rows(base: Tensor, idx, rows: Tensor) -> Tensor:
     """Place rows into a copy of base at the given (distinct) indices.
 
-    Gradients flow through the scattered rows; base positions that were
-    overwritten receive no gradient. Index shapes mirror gather_rows.
+    Gradients flow through the scattered rows; base rows that were
+    overwritten receive no gradient. Index shapes mirror gather_rows, and
+    ``rows`` is [B, k, D] for a [B, k] index: one row per index, never
+    broadcast.
     """
     brange, idx = _batch_rows(base, idx)
+    if rows.shape != idx.shape + base.shape[2:]:
+        raise ValueError(
+            f"rows {list(rows.shape)} do not fit index {list(idx.shape)} "
+            f"into base {list(base.shape)}")
     out = base.data.copy()
     out[brange, idx] = rows.data
     nbase, nrows = base._node, rows._node

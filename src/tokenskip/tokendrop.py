@@ -1,17 +1,18 @@
-"""Attention-guided token dropping with positional skip-connection reinsertion.
+"""Attention-guided token dropping with skip-connection reinsertion.
 
 The drop path ranks patch tokens by the head-averaged CLS attention row,
 removes the lowest-ranked fraction between a layer's attention and FFN
-sublayers (so the FFN of that layer already runs on fewer tokens), parks
-the removed embeddings in a stash, and reinserts them unchanged at their
-original positions in front of a later layer. Ranking and gathers name a
-token by its row in the live batch; positions serve only as the stash's
-return address and the fused token's sentinel. The split checks once that
-the keep and drop rows partition the patch rows, reinsertion checks once
-that the positions cover the sequence, and rows move only by gathers. A
-fused-token mode replaces the dropped set with a single importance-weighted
-average instead (no reinsertion), for baseline comparison. ``TokenBatch``
-holds tokens and their positions.
+sublayers (so the FFN of that layer already runs on fewer tokens), and
+reinserts the removed embeddings unchanged in front of a later layer. A
+token's only address is its row: ranking, splits and fusion name tokens by
+their row in the live batch, and live rows keep the ascending order of the
+batch they were cut from, so CLS stays row 0. The split checks once that
+the keep and drop rows partition the patch rows; the stash keeps each
+stage's cut-from batch and the rows it kept, and reinsertion scatters each
+live batch back into its cut-from batch, last stage first. A fused-token
+mode replaces the dropped set with a single importance-weighted average
+instead (no reinsertion), for baseline comparison. ``TokenBatch`` holds
+the tokens.
 """
 
 from __future__ import annotations
@@ -35,36 +36,20 @@ MODE_NONE = "none"
 MODE_SKIP = "skip"
 MODE_FUSE = "fuse"
 
-# Sequence position assigned to a fused token (never a real patch position).
-FUSED_POSITION = -1
-
 # An epoch past any warm-up: the schedule runs in full.
 PAST_WARMUP = 10 ** 9
 
 
 @dataclass
 class TokenBatch:
-    """Token embeddings plus each token's original sequence position.
+    """Token embeddings [batch, tokens, dim]; row 0 is the CLS token.
 
-    ``positions`` is an int array of shape [batch, tokens]; position 0 is the
-    CLS token and is always present. Rows are kept sorted ascending by
-    position, except that a fused token carries the sentinel position -1 at
-    the end of the row. So ranking patch rows with ties toward the lower row
-    breaks ties toward the lower position; the fused token is never ranked,
-    as fuse mode has a single drop stage.
+    Rows keep the ascending order of the patchified sequence, except that a
+    fused token is the last row. So ranking patch rows with ties toward the
+    lower row breaks ties toward the earlier patch; the fused token is never
+    ranked, as fuse mode has a single drop stage.
     """
     embeddings: Tensor
-    positions: np.ndarray
-
-    def __post_init__(self):
-        b, n, _ = self.embeddings.shape
-        if self.positions.shape != (b, n):
-            raise ValueError(
-                f"positions shape {self.positions.shape} does not match "
-                f"{n} tokens in batch of {b}"
-            )
-        if not (self.positions[:, 0] == 0).all():
-            raise ValueError("CLS (position 0) must lead every sequence")
 
     @property
     def num_tokens(self) -> int:
@@ -195,8 +180,8 @@ def select_topk(scores: np.ndarray, ratio: float):
 
     ``scores`` [batch, patches] rank the live patch rows 1..patches in order.
     Per-sample selection; a stable sort breaks ties toward the lower row,
-    which is the lower original position because live rows are kept sorted
-    by position (see ``TokenBatch``). Returns 1-based rows of the live batch,
+    which is the earlier patch because live rows keep their sequence order
+    (see ``TokenBatch``). Returns 1-based rows of the live batch,
     each set sorted ascending, shapes [batch, keep] and [batch, drop].
     """
     if not 0 <= ratio < 1:
@@ -209,7 +194,7 @@ def select_topk(scores: np.ndarray, ratio: float):
 def _live_rows(tokens: TokenBatch, keep: np.ndarray,
                drop: np.ndarray) -> np.ndarray:
     """CLS row 0 and the keep rows, once keep and drop partition rows 1..n-1."""
-    b, n = tokens.positions.shape
+    b, n, _ = tokens.embeddings.shape
     claimed = np.sort(np.concatenate([keep, drop], axis=1), axis=1)
     if claimed.shape != (b, n - 1) or (claimed != np.arange(1, n)).any():
         raise ValueError(
@@ -221,38 +206,32 @@ def split(tokens: TokenBatch, keep: np.ndarray, drop: np.ndarray,
           stash: list) -> TokenBatch:
     """Remove the drop rows from the live batch, stashing them for reinsertion.
 
-    ``stash`` is a list of (positions [batch, k], embeddings [batch, k, d])
-    pairs; the dropped rows are appended to it with their positions as the
-    return address. Differentiable: gradients flow both into the kept path
-    and, via the stash, into the dropped path once it is reinserted.
+    ``stash`` is a list of (embeddings [batch, n, d], live rows [batch, k])
+    pairs: the batch a stage cut from and the rows it kept, whose other rows
+    are the dropped ones. Differentiable: gradients flow both into the kept
+    path and, via the stash, into the dropped rows once they are reinserted.
     """
     live_rows = _live_rows(tokens, keep, drop)
     if drop.shape[1] == 0:
         return tokens
-    live = T.gather_rows(tokens.embeddings, live_rows)
-    stash.append((np.take_along_axis(tokens.positions, drop, axis=1),
-                  T.gather_rows(tokens.embeddings, drop)))
-    return TokenBatch(live, np.take_along_axis(tokens.positions, live_rows,
-                                               axis=1))
+    stash.append((tokens.embeddings, live_rows))
+    return TokenBatch(T.gather_rows(tokens.embeddings, live_rows))
 
 
 def reinsert(tokens: TokenBatch, stash: list) -> TokenBatch:
-    """Merge every stashed pair back at its original positions (then clear it).
+    """Scatter the live batch back into each stashed batch, last stage first
+    (then clear the stash).
 
-    One sort of the live and stashed positions both checks that they cover
-    0..n exactly and orders their rows for a single gather.
+    ``scatter_rows`` checks that the live rows fit their cut-from batch: in
+    range, distinct, and one per live row.
     """
     if not stash:
         return tokens
-    positions = np.concatenate([tokens.positions] + [pos for pos, _ in stash],
-                               axis=1)
-    order = np.argsort(positions, axis=1)
-    restored = np.take_along_axis(positions, order, axis=1)
-    if not (restored == np.arange(positions.shape[1])).all():
-        raise ValueError("live and stashed positions do not cover 0..n exactly")
-    rows = T.concat([tokens.embeddings] + [emb for _, emb in stash], axis=1)
+    x = tokens.embeddings
+    for base, rows in reversed(stash):
+        x = T.scatter_rows(base, rows, x)
     stash.clear()
-    return TokenBatch(T.gather_rows(rows, order), restored)
+    return TokenBatch(x)
 
 
 def fuse(dropped_embeddings: Tensor, dropped_importance: Tensor) -> Tensor:
@@ -292,8 +271,4 @@ def fuse_into(tokens: TokenBatch, importance: Tensor, keep: np.ndarray,
     imp3 = T.reshape(importance, importance.shape + (1,))
     dropped_imp = T.reshape(T.gather_rows(imp3, drop - 1), (b, k))
     fused = fuse(dropped, dropped_imp)
-    merged = T.concat([live, fused], axis=1)
-    live_pos = np.take_along_axis(tokens.positions, live_rows, axis=1)
-    positions = np.concatenate(
-        [live_pos, np.full((b, 1), FUSED_POSITION, dtype=live_pos.dtype)], axis=1)
-    return TokenBatch(merged, positions)
+    return TokenBatch(T.concat([live, fused], axis=1))

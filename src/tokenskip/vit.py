@@ -123,8 +123,7 @@ class ViT:
         """Cast images to the parameters' dtype, split them into patch
         tokens, project, prepend CLS, add positions."""
         c = self.config
-        if not isinstance(images, Tensor):
-            images = Tensor(np.ascontiguousarray(images, self.params["patch.w"].dtype))
+        images = Tensor(np.ascontiguousarray(images, self.params["patch.w"].dtype))
         b, ch, h, w = images.shape
         if ch != CHANNELS or h != c.image_size or w != c.image_size:
             raise ValueError(
@@ -139,9 +138,7 @@ class ViT:
         tok = T.matmul(x, self.params["patch.w"], self.params["patch.b"])
         cls = T.repeat_batch(self.params["cls"], b)
         tokens = T.concat([cls, tok], axis=1)
-        tokens = T.add(tokens, self.params["pos"])
-        positions = np.tile(np.arange(c.num_tokens), (b, 1))
-        return TokenBatch(tokens, positions)
+        return TokenBatch(T.add(tokens, self.params["pos"]))
 
     def attention_block(self, tokens: TokenBatch, layer: int):
         """Pre-norm MHSA sublayer; returns the residual sum and the scores.
@@ -172,7 +169,7 @@ class ViT:
         out = T.matmul(ctx, self.params[pre + "attn.wo"],
                        self.params[pre + "attn.bo"])
         res = T.add(x, out)
-        return TokenBatch(res, tokens.positions), scores
+        return TokenBatch(res), scores
 
     def ffn_block(self, tokens: TokenBatch, layer: int) -> TokenBatch:
         pre = f"blocks.{layer}."
@@ -181,7 +178,7 @@ class ViT:
         h = T.matmul(h, self.params[pre + "ffn.w1"], self.params[pre + "ffn.b1"])
         h = T.gelu(h)
         h = T.matmul(h, self.params[pre + "ffn.w2"], self.params[pre + "ffn.b2"])
-        return TokenBatch(T.add(x, h), tokens.positions)
+        return TokenBatch(T.add(x, h))
 
     def classify(self, tokens: TokenBatch) -> Tensor:
         """Final layernorm on the CLS embedding, then the linear head."""
@@ -196,7 +193,7 @@ class ViT:
         """Full forward pass executing ``tokendrop.plan``, so a schedule that
         ``validate`` rejects cannot run; dense before warm-up (by default past)."""
         steps = tokendrop.plan(schedule, self.config, epoch)
-        stash = []  # (positions, embeddings) pairs awaiting reinsertion
+        stash = []  # (cut-from embeddings, live rows) awaiting reinsertion
         diag = ForwardDiagnostics()
 
         tokens = self.patchify(images)

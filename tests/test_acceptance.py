@@ -127,11 +127,13 @@ def test_criterion_03_partition_round_trip():
             d = int(rng.integers(1, 5))
             stages = int(rng.integers(1, 3))
             emb = rng.normal(size=(b, patches + 1, d))
-            positions = np.tile(np.arange(patches + 1), (b, 1))
-            tokens = TokenBatch(Tensor(emb.copy()), positions)
+            everything = np.tile(np.arange(patches + 1), (b, 1))
+            tokens = TokenBatch(Tensor(emb.copy()))
             stash = []
+            # The input row of each live row, and of each dropped row.
+            rows, dropped = everything, []
             for stage in range(stages):
-                live_patches = tokens.positions.shape[1] - 1
+                live_patches = tokens.num_tokens - 1
                 if live_patches < 2:
                     break
                 ratio = float(rng.uniform(0.0, 0.9))
@@ -147,19 +149,23 @@ def test_criterion_03_partition_round_trip():
                 # Invariant under positive scaling (powers of two are exact).
                 keep3, _ = tokendrop.select_topk(scores * 4.0, ratio)
                 assert np.array_equal(keep, keep3)
-                assert 0 not in drop, "CLS position must never be dropped"
+                assert 0 not in drop, "CLS row must never be dropped"
                 tokens = tokendrop.split(tokens, keep, drop, stash)
-                # Partition: stash positions + live positions == {0..n}.
-                union = np.concatenate(
-                    [tokens.positions] + [pos for pos, _ in stash], axis=1)
-                assert np.array_equal(np.sort(union, axis=1),
-                                      np.tile(np.arange(patches + 1), (b, 1)))
+                dropped.append(np.take_along_axis(rows, drop, axis=1))
+                rows = np.take_along_axis(rows, np.concatenate(
+                    [np.zeros((b, 1), dtype=keep.dtype), keep], axis=1),
+                    axis=1)
+                # The live rows are the input's at the composed rows.
+                assert np.array_equal(tokens.embeddings.data,
+                                      emb[np.arange(b)[:, None], rows])
+                # Partition: live rows + stashed rows == {0..n}.
+                union = np.concatenate([rows] + dropped, axis=1)
+                assert np.array_equal(np.sort(union, axis=1), everything)
             # Stashed rows are bit-equal to their drop-time values, so with
             # no transform in between reinsertion restores the input exactly.
             restored = tokendrop.reinsert(tokens, stash)
-            assert np.array_equal(restored.positions,
-                                  np.tile(np.arange(patches + 1), (b, 1)))
             assert np.array_equal(restored.embeddings.data, emb)
+            assert not stash
 
 
 def _matrix_schedules(depth: int):

@@ -116,12 +116,18 @@ def test_gather_out_of_range_index():
     (lambda: T.scatter_rows(Tensor(np.zeros((1, 3, 1))), [[1, 1]],
                             Tensor(np.ones((1, 2, 1)), requires_grad=True)),
      "repeats"),
+    (lambda: T.scatter_rows(Tensor(np.zeros((1, 3, 2))), [[1, 2]],
+                            Tensor(np.ones((1, 1, 2)), requires_grad=True)),
+     r"rows \[1, 1, 2\] do not fit index \[1, 2\]"),
     (lambda: T.take(Tensor(np.zeros((2, 3))), [0, 2, 0], axis=1), "repeats"),
     (lambda: T.take(Tensor(np.zeros((2, 3))), [[0, 1]], axis=1), "1-d")],
-    ids=["gather_rows", "scatter_rows", "take", "take_2d"])
+    ids=["gather_rows", "scatter_rows", "scatter_rows_count", "take",
+         "take_2d"])
 def test_row_index_must_be_distinct(op, match):
     # A repeated row needs an accumulating gradient (scatter_rows at [[1, 1]]
-    # owes rows.grad [0, 1]); the row ops reject it instead.
+    # owes rows.grad [0, 1]); the row ops reject it instead. So does a rows
+    # tensor that would broadcast: one row scattered at [[1, 2]] would take
+    # the summed gradient [[[2, 2]]].
     with pytest.raises(ValueError, match=match):
         op()
 

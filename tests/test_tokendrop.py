@@ -16,15 +16,8 @@ def scores_from(scores):
     return Tensor(np.asarray(scores, dtype=np.float64))
 
 
-def batch_from(emb, positions=None):
-    emb = np.asarray(emb, dtype=np.float64)
-    if positions is None:
-        positions = np.tile(np.arange(emb.shape[1]), (emb.shape[0], 1))
-    return TokenBatch(Tensor(emb), np.asarray(positions))
-
-
-def stashed_positions(stash):
-    return np.concatenate([positions for positions, _ in stash], axis=1)
+def batch_from(emb):
+    return TokenBatch(Tensor(np.asarray(emb, dtype=np.float64)))
 
 
 class TestClsImportance:
@@ -89,16 +82,6 @@ class TestSelectTopk:
             td.select_topk(np.zeros((1, 4)), ratio)
 
 
-class TestTokenBatch:
-    def test_misshapen_positions_rejected(self):
-        with pytest.raises(ValueError, match="positions shape"):
-            batch_from(np.zeros((2, 3, 4)), np.tile(np.arange(2), (2, 1)))
-
-    def test_cls_must_lead(self):
-        with pytest.raises(ValueError, match="CLS"):
-            batch_from(np.zeros((1, 3, 4)), [[1, 0, 2]])
-
-
 class TestSplitReinsert:
     def test_empty_drop_is_identity(self):
         batch = batch_from(np.arange(12.0).reshape(1, 4, 3))
@@ -112,8 +95,11 @@ class TestSplitReinsert:
         batch = batch_from(np.arange(15.0).reshape(1, 5, 3))
         stash = []
         out = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash)
-        np.testing.assert_array_equal(out.positions, [[0, 1, 3]])
-        np.testing.assert_array_equal(stash[0][0], [[2, 4]])
+        np.testing.assert_array_equal(out.embeddings.data,
+                                      batch.embeddings.data[:, [0, 1, 3]])
+        (base, rows), = stash
+        assert base is batch.embeddings
+        np.testing.assert_array_equal(rows, [[0, 1, 3]])
 
     def test_partition_violation_rejected(self):
         batch = batch_from(np.zeros((1, 5, 3)))
@@ -130,27 +116,31 @@ class TestSplitReinsert:
         stash = []
         live = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash)
         merged = td.reinsert(live, stash)
-        np.testing.assert_array_equal(merged.positions, [[0, 1, 2, 3, 4]])
         assert (merged.embeddings.data == emb).all()
         assert not stash
 
-    def test_duplicate_positions_rejected(self):
-        batch = batch_from(np.zeros((1, 3, 2)), positions=np.array([[0, 1, 2]]))
-        stash = [(np.array([[2]]), Tensor(np.zeros((1, 1, 2))))]
-        with pytest.raises(ValueError, match="positions"):
+    def test_wrong_live_row_count_rejected(self):
+        # Two live rows cannot go back to the three rows a stage kept.
+        batch = batch_from(np.zeros((1, 2, 2)))
+        stash = [(Tensor(np.zeros((1, 4, 2))), np.array([[0, 1, 3]]))]
+        with pytest.raises(ValueError, match=r"rows \[1, 2, 2\] do not fit "
+                                             r"index \[1, 3\]"):
             td.reinsert(batch, stash)
 
     def test_two_stage_partition(self):
         emb = Tensor(np.arange(15.0).reshape(1, 5, 3), requires_grad=True)
-        batch = TokenBatch(emb, np.arange(5)[None, :])
+        batch = TokenBatch(emb)
         stash = []
-        live = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash)
-        live = td.split(live, np.array([[1]]), np.array([[2]]), stash)
-        assert len(stash) == 2
-        stashed = np.sort(stashed_positions(stash), axis=1)
-        np.testing.assert_array_equal(stashed, [[2, 3, 4]])
+        first = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash)
+        live = td.split(first, np.array([[1]]), np.array([[2]]), stash)
+        # Each stage stashes the batch it cut from and the rows it kept:
+        # rows 2, 4 of the input, then row 2 of the first live batch (input
+        # row 3), stay behind.
+        assert stash[0][0] is emb and stash[1][0] is first.embeddings
+        np.testing.assert_array_equal(stash[0][1], [[0, 1, 3]])
+        np.testing.assert_array_equal(stash[1][1], [[0, 1]])
+        np.testing.assert_array_equal(live.embeddings.data, emb.data[:, [0, 1]])
         merged = td.reinsert(live, stash)
-        np.testing.assert_array_equal(merged.positions, [[0, 1, 2, 3, 4]])
         assert (merged.embeddings.data == emb.data).all()
         assert not stash
         # A distinct gradient per row: each pre-split row gets back its own,
@@ -161,7 +151,7 @@ class TestSplitReinsert:
 
     def test_gradients_flow_through_both_paths(self):
         emb = Tensor(np.arange(15.0).reshape(1, 5, 3), requires_grad=True)
-        batch = TokenBatch(emb, np.arange(5)[None, :])
+        batch = TokenBatch(emb)
         stash = []
         live = td.split(batch, np.array([[1, 3]]), np.array([[2, 4]]), stash)
         merged = td.reinsert(live, stash)
@@ -492,28 +482,99 @@ def test_two_stage_partition_and_roundtrip(case, ratio2):
     n, batch, scores, ratio = case
     rng = np.random.default_rng(0)
     emb = rng.normal(size=(batch, n + 1, 4))
-    tokens = TokenBatch(Tensor(emb), np.tile(np.arange(n + 1), (batch, 1)))
+    tokens = TokenBatch(Tensor(emb))
     stash = []
+    # The input row of each live row, and of each dropped row, per stage.
+    rows, dropped = np.tile(np.arange(n + 1), (batch, 1)), []
 
-    keep, drop = td.select_topk(scores, ratio)
-    tokens = td.split(tokens, keep, drop, stash)
-
-    live_patches = tokens.positions.shape[1] - 1
-    if live_patches >= 1:
-        scores2 = rng.uniform(size=(batch, live_patches))
-        keep2, drop2 = td.select_topk(scores2, ratio2)
-        tokens = td.split(tokens, keep2, drop2, stash)
-
-    combined = tokens.positions if not stash else \
-        np.concatenate([tokens.positions, stashed_positions(stash)], axis=1)
-    np.testing.assert_array_equal(np.sort(combined, axis=1),
-                                  np.tile(np.arange(n + 1), (batch, 1)))
+    for stage_ratio in (ratio, ratio2):
+        keep, drop = td.select_topk(scores, stage_ratio)
+        tokens = td.split(tokens, keep, drop, stash)
+        dropped.append(np.take_along_axis(rows, drop, axis=1))
+        rows = np.take_along_axis(rows, np.concatenate(
+            [np.zeros((batch, 1), dtype=keep.dtype), keep], axis=1), axis=1)
+        np.testing.assert_array_equal(tokens.embeddings.data,
+                                      emb[np.arange(batch)[:, None], rows])
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([rows] + dropped, axis=1), axis=1),
+            np.tile(np.arange(n + 1), (batch, 1)))
+        scores = rng.uniform(size=(batch, tokens.num_tokens - 1))
 
     merged = td.reinsert(tokens, stash)
-    np.testing.assert_array_equal(merged.positions,
-                                  np.tile(np.arange(n + 1), (batch, 1)))
     assert (merged.embeddings.data == emb).all()
     assert not stash
+
+
+def reference_split(emb, positions, keep, drop, stash):
+    """Split as it was when each token carried its sequence position: the
+    dropped rows are stashed with their positions as the return address."""
+    if drop.shape[1] == 0:
+        return emb, positions
+    live_rows = np.concatenate([np.zeros_like(keep[:, :1]), keep], axis=1)
+    live = T.gather_rows(emb, live_rows)
+    stash.append((np.take_along_axis(positions, drop, axis=1),
+                  T.gather_rows(emb, drop)))
+    return live, np.take_along_axis(positions, live_rows, axis=1)
+
+
+def reference_reinsert(emb, positions, stash):
+    """Concatenate live and stashed rows and gather them in position order."""
+    if not stash:
+        return emb, positions
+    positions = np.concatenate([positions] + [pos for pos, _ in stash], axis=1)
+    order = np.argsort(positions, axis=1)
+    rows = T.concat([emb] + [dropped for _, dropped in stash], axis=1)
+    stash.clear()
+    return T.gather_rows(rows, order), np.take_along_axis(positions, order,
+                                                          axis=1)
+
+
+@st.composite
+def stage_case(draw):
+    n = draw(st.integers(min_value=2, max_value=16))
+    batch = draw(st.integers(min_value=1, max_value=3))
+    stages = draw(st.integers(min_value=1, max_value=2))
+    ratios = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.9)),
+                           min_size=stages, max_size=stages))
+    # Scores on a four-level grid, so that ties are common.
+    levels = draw(st.lists(st.integers(min_value=0, max_value=3),
+                           min_size=stages * batch * n,
+                           max_size=stages * batch * n))
+    return n, batch, ratios, np.array(levels).reshape(stages, batch, n) / 3.0
+
+
+def bits(t: Tensor):
+    return t.shape, t.dtype, t.data.tobytes()
+
+
+@given(stage_case())
+@settings(max_examples=200, deadline=None)
+def test_row_stash_matches_position_stash_bitwise(case):
+    n, batch, ratios, scores = case
+    data = np.random.default_rng(n).normal(size=(batch, n + 1, 3))
+    emb = Tensor(data, requires_grad=True)
+    ref_emb = Tensor(data, requires_grad=True)
+    x, ref = emb, ref_emb
+    positions = np.tile(np.arange(n + 1), (batch, 1))
+    stash, ref_stash = [], []
+    for ratio, stage_scores in zip(ratios, scores):
+        # A block between stages, so the stashed rows are not the input's.
+        x, ref = T.gelu(x), T.gelu(ref)
+        keep, drop = td.select_topk(stage_scores[:, :x.shape[1] - 1], ratio)
+        x = td.split(TokenBatch(x), keep, drop, stash).embeddings
+        ref, positions = reference_split(ref, positions, keep, drop, ref_stash)
+        assert bits(x) == bits(ref)
+    x, ref = T.gelu(x), T.gelu(ref)
+    merged = td.reinsert(TokenBatch(x), stash).embeddings
+    ref, positions = reference_reinsert(ref, positions, ref_stash)
+    np.testing.assert_array_equal(positions,
+                                  np.tile(np.arange(n + 1), (batch, 1)))
+    assert bits(merged) == bits(ref)
+    # A distinct upstream gradient for every entry of every row.
+    upstream = Tensor(np.arange(1.0, data.size + 1).reshape(data.shape))
+    T.tensor_sum(T.mul(merged, upstream)).backward()
+    T.tensor_sum(T.mul(ref, upstream)).backward()
+    assert emb.grad.tobytes() == ref_emb.grad.tobytes()
 
 
 @given(drop_case(), st.integers(min_value=-8, max_value=8))

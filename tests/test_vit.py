@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tokenskip import tensor as T, vit
+from tokenskip import tensor as T, tokendrop, vit
 from tokenskip.data import CHANNELS
 from tokenskip.tensor import Tensor
 from tokenskip.tokendrop import DropSchedule, MODE_FUSE, MODE_SKIP
@@ -101,10 +101,20 @@ class TestPatchify:
         assert out.num_tokens == 197
 
     def test_positions_are_identity(self):
+        # Row 0 is CLS and row i the i-th patch in raster order, each plus
+        # its positional embedding: a token's row is its sequence position.
         model = ViT(SMALL, seed=0)
-        out = model.patchify(images_for(SMALL))
-        np.testing.assert_array_equal(out.positions,
-                                      np.tile(np.arange(65), (2, 1)))
+        imgs = images_for(SMALL)
+        out = model.patchify(imgs)
+        p, g = SMALL.patch_size, SMALL.image_size // SMALL.patch_size
+        patches = imgs.reshape(2, CHANNELS, g, p, g, p).transpose(
+            0, 2, 4, 1, 3, 5).reshape(2, g * g, CHANNELS * p * p)
+        w = {name: t.data for name, t in model.params.items()}
+        cls = np.broadcast_to(w["cls"], (2, 1, SMALL.embed_dim))
+        expect = np.concatenate(
+            [cls, patches @ w["patch.w"] + w["patch.b"]], axis=1) + w["pos"]
+        np.testing.assert_allclose(out.embeddings.data, expect,
+                                   rtol=1e-5, atol=1e-6)
 
     def test_size_mismatch(self):
         model = ViT(SMALL, seed=0)
@@ -155,10 +165,17 @@ class TestAttentionBlock:
         np.testing.assert_allclose(scaled.data, 2.0)
 
     def test_positions_pass_through(self):
+        # Attention mixes tokens but keeps each on its row: permuting the
+        # input rows permutes the output rows alike.
         model = ViT(SMALL, seed=1)
         tokens = model.patchify(images_for(SMALL))
+        perm = np.random.default_rng(0).permutation(tokens.num_tokens)
         out, _ = model.attention_block(tokens, 3)
-        assert out.positions is tokens.positions
+        shuffled, _ = model.attention_block(
+            TokenBatch(T.gather_rows(tokens.embeddings, perm)), 3)
+        np.testing.assert_allclose(shuffled.embeddings.data,
+                                   out.embeddings.data[:, perm],
+                                   rtol=1e-5, atol=1e-6)
 
 
 class TestFfnBlock:
@@ -211,16 +228,19 @@ class TestClassify:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
-def spy_classified_positions(monkeypatch) -> list:
-    """Record the token positions each ``ViT.classify`` call receives."""
+def spy_on(monkeypatch, name: str) -> list:
+    """Record (arguments, result) of each ``tokendrop.<name>`` call; the
+    stash, which ``reinsert`` clears, is recorded as a copy."""
     seen = []
-    classify = ViT.classify
+    op = getattr(tokendrop, name)
 
-    def spy(self, tokens):
-        seen.append(tokens.positions)
-        return classify(self, tokens)
+    def spy(*args):
+        record = [list(a) if isinstance(a, list) else a for a in args]
+        out = op(*args)
+        seen.append((record, out))
+        return out
 
-    monkeypatch.setattr(ViT, "classify", spy)
+    monkeypatch.setattr(tokendrop, name, spy)
     return seen
 
 
@@ -272,13 +292,30 @@ class TestForward:
         assert diag.kept_patches == {3: 29}
 
     def test_classified_positions_restored_under_skip(self, monkeypatch):
-        final = spy_classified_positions(monkeypatch)
+        reinserted = spy_on(monkeypatch, "reinsert")
         model = ViT(SMALL, seed=7)
         sched = DropSchedule(stages=((2, 0.3), (3, 0.3)), skip_target=5,
                              mode="skip")
         model.forward(images_for(SMALL), sched, epoch=0)
-        np.testing.assert_array_equal(final[-1],
-                                      np.tile(np.arange(65), (2, 1)))
+        ((live, stash), merged), = reinserted
+        assert len(stash) == 2
+        out, b = merged.embeddings.data, np.arange(2)[:, None]
+        rows, dropped = np.tile(np.arange(65), (2, 1)), []
+        for base, kept in stash:
+            # Each row a stage dropped comes back bit-equal from the batch
+            # it was cut from; ``rows`` maps that batch's rows to merged ones.
+            cut = np.ones(base.shape[:2], dtype=bool)
+            cut[b, kept] = False
+            dropped.append(rows[cut].reshape(2, -1))
+            np.testing.assert_array_equal(
+                out[b, dropped[-1]],
+                base.data[cut].reshape(2, -1, SMALL.embed_dim))
+            rows = np.take_along_axis(rows, kept, axis=1)
+        np.testing.assert_array_equal(out[b, rows], live.embeddings.data)
+        assert (rows[:, 0] == 0).all(), "CLS is row 0 throughout"
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([rows] + dropped, axis=1), axis=1),
+            np.tile(np.arange(65), (2, 1)))
 
     def test_attention_rows_normalized_at_every_layer_with_drops(
             self, monkeypatch):
@@ -300,13 +337,20 @@ class TestForward:
             np.testing.assert_allclose(sums, 1.0, atol=1e-5)
 
     def test_fuse_mode_appends_single_token(self, monkeypatch):
-        final = spy_classified_positions(monkeypatch)
+        fused = spy_on(monkeypatch, "fuse_into")
         model = ViT(SMALL, seed=9)
         sched = DropSchedule(stages=((2, 0.45),), mode=MODE_FUSE)
         _, diag = model.forward(images_for(SMALL), sched, epoch=0)
         # ceil(64*0.55) = 36 kept patches + CLS + fused token = 38.
         assert diag.attn_tokens == [65, 65, 65, 38, 38, 38]
-        assert final[-1][0, -1] == -1
+        ((tokens, importance, keep, drop), out), = fused
+        x, b = tokens.embeddings.data, np.arange(2)[:, None]
+        # CLS, then the kept rows in order, then the fused token last.
+        np.testing.assert_array_equal(out.embeddings.data[:, 0], x[:, 0])
+        np.testing.assert_array_equal(out.embeddings.data[:, 1:-1], x[b, keep])
+        expect = tokendrop.fuse(Tensor(x[b, drop]),
+                                Tensor(importance.data[b, drop - 1]))
+        np.testing.assert_array_equal(out.embeddings.data[:, -1:], expect.data)
 
 
 class TestGraphMemory:
