@@ -26,10 +26,15 @@ arrays, views, read-only broadcasts), and three rules make that safe:
 3. a leaf keeps its own copy, in its dtype, and adds into it in place.
 
 So no array handed over is ever written, no two leaves share gradient memory,
-and callers may modify a leaf's ``.grad`` in place. ``backward`` drops each
-non-leaf gradient as soon as it has been propagated, so afterwards only leaf
-``.grad`` is meaningful, and a second ``backward`` on the same graph adds
-exactly one more gradient into every leaf.
+and callers may modify a leaf's ``.grad`` in place. ``backward`` spends the
+graph as it walks it: once a node's closure has run, the node drops its
+gradient, its closure (and with it every array the closure kept) and its
+parents, so a step's activations are freed one node at a time in reverse
+order, and afterwards the graph holds only leaf ``.grad``. A spent node's
+closure is ``_spent``, never ``None``, which would make it pass for a leaf and
+silently cut the gradient flowing through it. A graph is single-use: a
+``backward`` whose graph reaches a spent node raises ``RuntimeError`` before
+it changes any gradient.
 """
 
 from __future__ import annotations
@@ -127,10 +132,11 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        """Populate gradients of every reachable requires_grad tensor.
+        """Add this scalar's gradient into every reachable leaf's ``.grad``.
 
-        Repeated calls without clearing gradients accumulate additively into
-        leaf gradients; non-leaf gradients are dropped once propagated.
+        Spends the graph: each node drops its gradient, closure and parents
+        once its closure has run. Raises RuntimeError, before any gradient
+        changes, if the graph reaches a node an earlier backward spent.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -145,7 +151,7 @@ class Tensor:
             if node.backward_fn is not None:
                 if node.grad is not None:
                     node.backward_fn(node.grad)
-                node.grad = None
+                node.grad, node.backward_fn, node.parents = None, _spent, ()
 
     def __repr__(self):
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
@@ -155,6 +161,7 @@ class ComputeTape:
     """Topologically ordered nodes of the differentiable ops behind a tensor.
 
     Reverse iteration visits each node exactly once, children before parents.
+    Raises RuntimeError if the graph reaches a node a backward has spent.
     """
 
     def __init__(self, root: Tensor):
@@ -168,10 +175,19 @@ class ComputeTape:
                 continue
             if id(node) in visited:
                 continue
+            if node.backward_fn is _spent:
+                raise RuntimeError(
+                    "backward through a graph an earlier backward spent; "
+                    "run the forward again")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node.parents:
                 stack.append((parent, False))
+
+
+def _spent(g: np.ndarray) -> None:
+    """The closure of a node whose backward has run (see the module notes)."""
+    raise RuntimeError("backward through a spent graph node")
 
 
 def _accumulate(node: Optional[_Node], g: np.ndarray) -> None:

@@ -250,7 +250,8 @@ def _train_step(model: ViT, schedule: DropSchedule, opt: AdamW,
     opt.zero_grad()
     loss.backward()
     opt.step(lr)
-    # A float and an array hold no graph: this step's is freed on return.
+    # backward freed each activation as it passed it; a float and an array
+    # hold no node, so the spent graph's nodes go on return.
     return float(loss.data), logits.data, diag
 
 

@@ -250,27 +250,57 @@ def test_forward_bit_identical_across_runs():
     assert (a == b).all()
 
 
-def test_second_backward_exactly_doubles_leaf_gradients():
-    x = Tensor([1.0, -2.0], requires_grad=True)
-    loss = T.tensor_sum(T.scale(T.scale(x, 3.0), 2.0))
-    loss.backward()
-    loss.backward()
-    np.testing.assert_array_equal(x.grad, [12.0, 12.0])
-
-    # Each leaf takes one gradient per pass, so doubling is exact in floats.
+def _chain_params():
     rng = np.random.default_rng(6)
-    p = {name: Tensor(rng.normal(size=shape), requires_grad=True)
-         for name, shape in [("x", (2, 3, 4)), ("w", (4, 4)), ("b", (4,)),
-                             ("g", (4,)), ("beta", (4,)), ("r", (2, 3, 4))]}
+    return {name: Tensor(rng.normal(size=shape), requires_grad=True)
+            for name, shape in [("x", (2, 3, 4)), ("w", (4, 4)), ("b", (4,)),
+                                ("g", (4,)), ("beta", (4,)), ("r", (2, 3, 4))]}
+
+
+def _chain_loss(p):
     h = T.add(T.matmul(p["x"], p["w"]), p["b"])
     h = T.gelu(T.layernorm(h, p["g"], p["beta"]))
     h = T.add(T.reshape(T.permute(h, (0, 2, 1)), (2, 3, 4)), p["r"])
-    loss = T.tensor_sum(T.mul(h, h))
+    return T.tensor_sum(T.mul(h, h))
+
+
+def test_second_backward_on_a_spent_graph_raises_and_changes_nothing():
+    p = _chain_params()
+    loss = _chain_loss(p)
     loss.backward()
     first = {name: t.grad.copy() for name, t in p.items()}
-    loss.backward()
+    with pytest.raises(RuntimeError, match="spent"):
+        loss.backward()
+    for name, t in p.items():
+        np.testing.assert_array_equal(t.grad, first[name], err_msg=name)
+
+
+def test_two_graphs_on_the_same_leaves_exactly_double_leaf_gradients():
+    # Each leaf takes one gradient per graph, so doubling is exact in floats.
+    p = _chain_params()
+    _chain_loss(p).backward()
+    first = {name: t.grad.copy() for name, t in p.items()}
+    _chain_loss(p).backward()
     for name, t in p.items():
         np.testing.assert_array_equal(t.grad, 2 * first[name], err_msg=name)
+
+
+def test_backward_through_a_node_another_backward_spent_raises_first():
+    # y is shared by two losses. Were a spent node's closure None, y would
+    # pass for a leaf: loss2 would give y a gradient and x none, silently.
+    rng = np.random.default_rng(7)
+    x, w, z = (Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+               for _ in range(3))
+    y = T.matmul(x, w)
+    T.tensor_sum(y).backward()
+    assert y._node.backward_fn is not None
+    before = [x.grad.copy(), w.grad.copy()]
+    loss2 = T.add(T.tensor_sum(T.mul(y, z)), T.tensor_sum(z))
+    with pytest.raises(RuntimeError, match="spent"):
+        loss2.backward()
+    np.testing.assert_array_equal(x.grad, before[0])
+    np.testing.assert_array_equal(w.grad, before[1])
+    assert z.grad is None and y.grad is None
 
 
 # Textbook formulas the in-place kernels must reproduce bit for bit.
