@@ -136,8 +136,7 @@ _KEYS = {section: {name: kind for name, kind in _types(type(default)).items()
          for section, (_, default) in _SECTIONS.items()}
 
 KNOWN_KEYS = (
-    {"seed", "sweep.arms", "schedule.drop_layers",
-     "schedule.drop_ratios"}
+    {"seed", "schedule.drop_layers", "schedule.drop_ratios"}
     | {f"{section}.preset" for section, (presets, _) in _SECTIONS.items()
        if presets}
     | {f"{section}.{name}" for section, types in _KEYS.items()
@@ -180,14 +179,10 @@ def _stages(items: dict[str, str]) -> tuple:
     return tuple(zip(layers, ratios))
 
 
-def _check_keys(items: dict[str, str]) -> None:
-    arms = _csv("sweep.arms", items.get("sweep.arms", ""), str)
-    for key in items:
-        if key in KNOWN_KEYS:
-            continue
-        if any(key.startswith(f"sweep.{arm}.") for arm in arms):
-            continue
-        raise ConfigError(f"unknown config key {key!r}")
+def _check_keys(keys, known=KNOWN_KEYS) -> None:
+    for key in keys:
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r}")
 
 
 def build(items: dict[str, str]) -> ExperimentConfig:
@@ -210,7 +205,8 @@ def sweep_arms(items: dict[str, str]) -> list[tuple[str, ExperimentConfig]]:
     ``sweep.<arm>.<key> = value``. Schedule keys are special-cased: naming
     any of them in an arm clears the shared schedule first, so an arm can
     switch mode without dragging along stale stage definitions. An arm's
-    name is its output directory, so it must be a plain directory name.
+    name is its output directory, so it must be a plain directory name. Any
+    other ``sweep.*`` key is unknown, here as in ``build``.
     """
     names = _csv("sweep.arms", items.get("sweep.arms", ""), str)
     if not names:
@@ -221,9 +217,11 @@ def sweep_arms(items: dict[str, str]) -> list[tuple[str, ExperimentConfig]]:
         if name in ("", ".", "..") or "/" in name:
             raise ConfigError(f"sweep.arms: arm name {name!r} is not a plain "
                               f"directory name")
+    prefixes = tuple(f"sweep.{name}." for name in names)
+    _check_keys((key for key in items if not key.startswith(prefixes)),
+                KNOWN_KEYS | {"sweep.arms"})
     arms = []
-    for name in names:
-        prefix = f"sweep.{name}."
+    for name, prefix in zip(names, prefixes):
         overrides = {key[len(prefix):]: value
                      for key, value in items.items()
                      if key.startswith(prefix)}

@@ -159,11 +159,11 @@ def load_dataset(source: str, root=None, *, seed: int = 0,
 
     ``synthetic_n`` and ``synthetic_val_n`` size both sources: cifar10 takes
     that many leading records of its training and test files. The
-    normalization statistics are those of the train split used. A source
-    holds the float32 splits it returns plus one bounded chunk: a
-    ``SYNTHETIC_CHUNK`` of float64 noise, or one CIFAR-10 file's raw bytes
-    while it is checked. Taking the statistics and normalizing each hold
-    one more train-sized float32 array at their peak.
+    normalization statistics are those of the train split used, so an empty
+    train split is a ValueError. A source holds the float32 splits it returns
+    plus one bounded chunk: a ``SYNTHETIC_CHUNK`` of float64 noise, or one
+    CIFAR-10 file's raw bytes while it is checked. Taking the statistics and
+    normalizing each hold one more train-sized float32 array at their peak.
     """
     if source == "cifar10":
         if not root:
@@ -177,6 +177,8 @@ def load_dataset(source: str, root=None, *, seed: int = 0,
         val = synthetic(seed + 1, synthetic_val_n, classes, image_size)
     else:
         raise ValueError(f"unknown dataset source {source!r}")
+    if len(train) == 0:
+        raise ValueError("dataset.train_n is 0: no statistics to normalize by")
     stats = channel_stats(train)
     train = normalize(train, stats)  # frees the raw train split before val
     return train, normalize(val, stats)

@@ -2,8 +2,8 @@
 
 Tensors wrap contiguous numpy arrays. Differentiable operations record their
 inputs' graph nodes and a backward closure; calling ``backward`` on a scalar
-loss walks the recorded graph in reverse topological order and accumulates
-gradients into every reachable tensor that requires them. A tensor's dtype is
+loss walks the recorded graph in reverse topological order and adds
+gradients to every reachable tensor that requires them. A tensor's dtype is
 its data's: an ndarray is kept as it is, anything else goes through
 ``np.asarray``, and a non-float result becomes float32. So each op computes in
 its operands' dtype, and a float64 model (a float64 archive, or a gradient
@@ -18,23 +18,22 @@ derivative, cross-entropy the logits, mul and div their operands. add, scale,
 the views, sums, ``repeat_batch``, ``concat`` and the row ops keep shapes and
 indices only, so an output that backward never reads is freed when the forward
 code drops it. Closures hand gradients to ``_accumulate`` as they are (fresh
-arrays, views, read-only broadcasts), and three rules make that safe:
+arrays, views, read-only broadcasts), and two rules, one for every node, make
+that safe:
 
-1. a non-leaf node keeps its first gradient by reference and never writes
-   into it;
-2. a later gradient for a non-leaf node replaces its gradient with a fresh sum;
-3. a leaf keeps its own copy, in its dtype, and adds into it in place.
+1. a node keeps its first gradient by reference and never writes into it;
+2. a later gradient replaces the node's gradient with a fresh sum.
 
-So no array handed over is ever written, no two leaves share gradient memory,
-and callers may modify a leaf's ``.grad`` in place. ``backward`` spends the
-graph as it walks it: once a node's closure has run, the node drops its
-gradient, its closure (and with it every array the closure kept) and its
-parents, so a step's activations are freed one node at a time in reverse
-order, and afterwards the graph holds only leaf ``.grad``. A spent node's
-closure is ``_spent``, never ``None``, which would make it pass for a leaf and
-silently cut the gradient flowing through it. A graph is single-use: a
-``backward`` whose graph reaches a spent node raises ``RuntimeError`` before
-it changes any gradient.
+So no gradient array is written once it is made, and a leaf's ``.grad`` is
+read-only: it may be a broadcast view, or the array another node holds.
+``backward`` walks only op nodes and spends the graph as it walks it: once a
+node's closure has run, the node drops its gradient, its closure (and with it
+every array the closure kept) and its parents, so a step's activations are
+freed one node at a time in reverse order, and afterwards the graph holds only
+leaf ``.grad``. A spent node's closure is ``_spent``, never ``None``, which
+would make it pass for a leaf and silently cut the gradient flowing through
+it. A graph is single-use: a ``backward`` whose graph reaches a spent node
+raises ``RuntimeError`` before it changes any gradient.
 """
 
 from __future__ import annotations
@@ -110,6 +109,7 @@ class Tensor:
 
     @property
     def grad(self) -> Optional[np.ndarray]:
+        """The gradient backward left here; read-only (see the module notes)."""
         return None if self._node is None else self._node.grad
 
     @grad.setter
@@ -132,11 +132,12 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        """Add this scalar's gradient into every reachable leaf's ``.grad``.
+        """Add this scalar's gradient to every reachable leaf's ``.grad``.
 
-        Spends the graph: each node drops its gradient, closure and parents
-        once its closure has run. Raises RuntimeError, before any gradient
-        changes, if the graph reaches a node an earlier backward spent.
+        Runs each op node's closure once, children before parents, and spends
+        the graph: each node drops its gradient, closure and parents once its
+        closure has run. Raises RuntimeError, before any gradient changes, if
+        the graph reaches a node an earlier backward spent.
         """
         if self.data.size != 1:
             raise ValueError(
@@ -148,10 +149,10 @@ class Tensor:
         tape = ComputeTape(self)
         _accumulate(root, np.ones_like(self.data))
         for node in reversed(tape.nodes):
-            if node.backward_fn is not None:
-                if node.grad is not None:
-                    node.backward_fn(node.grad)
-                node.grad, node.backward_fn, node.parents = None, _spent, ()
+            # Every node on the tape feeds the root, so its children have
+            # handed it a gradient by now.
+            node.backward_fn(node.grad)
+            node.grad, node.backward_fn, node.parents = None, _spent, ()
 
     def __repr__(self):
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
@@ -160,8 +161,9 @@ class Tensor:
 class ComputeTape:
     """Topologically ordered nodes of the differentiable ops behind a tensor.
 
-    Reverse iteration visits each node exactly once, children before parents.
-    Raises RuntimeError if the graph reaches a node a backward has spent.
+    Leaves, which have no closure, are left out. Reverse iteration visits each
+    node exactly once, children before parents. Raises RuntimeError if the
+    graph reaches a node a backward has spent.
     """
 
     def __init__(self, root: Tensor):
@@ -173,7 +175,7 @@ class ComputeTape:
             if expanded:
                 self.nodes.append(node)
                 continue
-            if id(node) in visited:
+            if node.backward_fn is None or id(node) in visited:
                 continue
             if node.backward_fn is _spent:
                 raise RuntimeError(
@@ -191,24 +193,18 @@ def _spent(g: np.ndarray) -> None:
 
 
 def _accumulate(node: Optional[_Node], g: np.ndarray) -> None:
-    """Add g, summed down to node's shape if broadcast, into node's gradient.
+    """Add g, summed down to node's shape if broadcast, to node's gradient.
 
-    A node of None (an operand that needs no gradient) takes nothing. A
-    non-leaf keeps its first gradient by reference (cast to its dtype if need
-    be) and never writes into it; a later one replaces it with a fresh sum. A
-    leaf keeps its own copy, in its dtype, and adds into it in place. Either
-    way the sum has the bits of copy-then-add.
+    A node of None (an operand that needs no gradient) takes nothing. Leaf or
+    not, a node keeps its first gradient by reference (cast to its dtype if
+    need be) and never writes into it; a later one replaces it with a fresh
+    sum, with the bits of copy-then-add.
     """
     if node is None:
         return
     if g.shape != node.shape:
         g = _unbroadcast(g, node.shape)
-    if node.backward_fn is None:
-        if node.grad is None:
-            node.grad = np.array(g, dtype=node.dtype)
-        else:
-            node.grad += g
-    elif node.grad is None:
+    if node.grad is None:
         node.grad = np.asarray(g, dtype=node.dtype)
     else:
         # Same casting as an in-place add, into a fresh array.

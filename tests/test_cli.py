@@ -166,6 +166,30 @@ class TestExitCodes:
         assert key in err
         assert "saving" not in out
 
+    @pytest.mark.parametrize("command", ["flops", "train"])
+    def test_sweep_keys_outside_sweep_are_exit_1(self, capsys, tmp_path,
+                                                 command):
+        # Only sweep reads sweep.* keys; anywhere else an arm's schedule
+        # would be ignored and the shared (dense) config run instead.
+        out_dir = tmp_path / "run"
+        arm = [arg.replace("schedule.", "sweep.skip.schedule.") for arg in SKIP]
+        out_args = ["--out", str(out_dir)] if command == "train" else []
+        code, out, err = run(capsys, command, *out_args, *TINY4,
+                             "--set", "sweep.arms=skip", *arm)
+        assert code == cli.EXIT_CONFIG
+        assert "unknown config key 'sweep.arms'" in err
+        assert out == "" and not out_dir.exists()
+
+    def test_eval_with_an_empty_train_split_is_exit_1(self, capsys, tmp_path):
+        # Validation images are normalized with the train split's statistics.
+        path = tmp_path / "tiny.ckpt"
+        checkpoint.save(ViT(MODEL_PRESETS["tiny"], seed=0), path)
+        code, out, err = run(capsys, "eval", "--checkpoint", str(path), *TINY,
+                             "--set", "dataset.train_n=0")
+        assert code == cli.EXIT_CONFIG
+        assert "dataset.train_n is 0" in err
+        assert out == ""
+
     def test_missing_checkpoint_is_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--checkpoint",
                            str(tmp_path / "nope.ckpt"), *TINY)

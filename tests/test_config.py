@@ -104,7 +104,7 @@ NON_DEFAULT = {
     "schedule.drop_ratios": "0.3", "schedule.skip_target": "4",
     "schedule.warmup_epochs": "2",
 }
-SETTABLE = C.KNOWN_KEYS - {"model.preset", "train.preset", "sweep.arms"}
+SETTABLE = C.KNOWN_KEYS - {"model.preset", "train.preset"}
 
 
 def items_setting(key: str) -> dict:
@@ -183,6 +183,16 @@ class TestSweep:
         assert arms["fuse_arm"].schedule.mode == MODE_FUSE
         assert arms["skip"].schedule.mode == MODE_SKIP
         assert arms["skip"].schedule.stages == ((1, 0.5),)
+
+    @pytest.mark.parametrize("key", ["sweep.skpi.schedule.mode",
+                                     "sweep.other", "sweep.base"])
+    def test_sweep_key_of_no_listed_arm_is_unknown(self, key):
+        with pytest.raises(C.ConfigError, match=f"unknown config key '{key}'"):
+            C.sweep_arms({**self.ITEMS, key: "skip"})
+
+    def test_build_rejects_sweep_keys(self):
+        with pytest.raises(C.ConfigError, match="unknown config key 'sweep.arms'"):
+            C.build({"sweep.arms": "base"})
 
     def test_missing_arms_key(self):
         with pytest.raises(C.ConfigError, match="sweep.arms"):

@@ -182,6 +182,13 @@ class TestLoadDataset:
         with pytest.raises(FileNotFoundError, match="dataset.root"):
             data.load_dataset("cifar10")
 
+    @pytest.mark.parametrize("source", data.SOURCES)
+    def test_empty_train_split_has_no_statistics(self, tmp_path, source):
+        _fabricate_root(tmp_path, per_file=2)
+        with pytest.raises(ValueError, match="dataset.train_n is 0"):
+            data.load_dataset(source, tmp_path, synthetic_n=0,
+                              synthetic_val_n=2)
+
     @pytest.mark.parametrize("classes", [5, 20])
     def test_cifar_rejects_other_class_count(self, tmp_path, classes):
         _fabricate_root(tmp_path, per_file=2)

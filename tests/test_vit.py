@@ -430,6 +430,19 @@ class TestGraphMemory:
         _, held = self._traced_backward(schedule)
         assert held < 0.1 * 2 ** 20, f"{held / 2 ** 20:.2f} MiB"
 
+    # Backward walks op nodes only: the desk model's 104 parameters, the
+    # leaves, are not on the tape.
+    @pytest.mark.parametrize("schedule, nodes", [
+        (DropSchedule(), 153),
+        (DropSchedule(stages=((3, 0.55),), skip_target=5, mode=MODE_SKIP), 155),
+    ], ids=["dense", "skip"])
+    def test_every_tape_node_has_a_closure(self, schedule, nodes):
+        model = ViT(MODEL_PRESETS["desk"], seed=0)
+        logits, _ = model.forward(images_for(model.config, batch=8), schedule)
+        tape = T.ComputeTape(T.cross_entropy(logits, np.arange(8) % 10))
+        assert all(node.backward_fn is not None for node in tape.nodes)
+        assert len(tape.nodes) == nodes
+
 
 class TestEndToEndGradient:
     def test_tiny_model_gradients_match_finite_differences(self):
