@@ -13,13 +13,18 @@ Graph and gradient ownership. The graph holds nodes, not data: a tensor that
 requires grad owns a node with its shape, dtype, gradient, parent nodes and
 backward closure. A closure keeps its parents' nodes and only the arrays its
 backward reads: matmul the operand that the other's gradient needs, softmax
-its output, layernorm ``xhat``, ``inv`` and the gain, gelu its local
+its output, layernorm ``xhat``, ``inv``, the gain and the bias, gelu its local
 derivative, cross-entropy the logits, mul and div their operands. add, scale,
 the views, sums, ``repeat_batch``, ``concat`` and the row ops keep shapes and
 indices only, so an output that backward never reads is freed when the forward
-code drops it. Closures hand gradients to ``_accumulate`` as they are (fresh
-arrays, views, read-only broadcasts), and two rules, one for every node, make
-that safe:
+code drops it. A layernorm output is not kept at all: matmul keeps its remake
+in place of the array and, when it computes the weight gradient, remakes it
+from the layernorm's ``xhat``, gain and bias by the forward's own ops, once
+per layernorm per backward; the layernorm's closure drops the remade array.
+So a layernorm's gain and bias must not be written between a forward and its
+backward (the optimizer writes them after). Closures hand gradients to
+``_accumulate`` as they are (fresh arrays, views, read-only broadcasts), and
+two rules, one for every node, make that safe:
 
 1. a node keeps its first gradient by reference and never writes into it;
 2. a later gradient replaces the node's gradient with a fresh sum.
@@ -73,10 +78,32 @@ class _Node:
         self.backward_fn = backward_fn
 
 
+class _Remake:
+    """Remakes an op's output in backward from arrays the op's closure keeps.
+
+    Backward closures that read the output keep this in place of the array.
+    They share one remade array, made by the first to call it; the op's own
+    closure, which runs after them all, drops it.
+    """
+
+    __slots__ = ("_make", "_data")
+
+    def __init__(self, make: Callable[[], np.ndarray]):
+        self._make, self._data = make, None
+
+    def __call__(self) -> np.ndarray:
+        if self._data is None:
+            self._data = self._make()
+        return self._data
+
+    def drop(self) -> None:
+        self._data = None
+
+
 class Tensor:
     """A dense n-dimensional array with optional gradient tracking."""
 
-    __slots__ = ("_data", "_node")
+    __slots__ = ("_data", "_node", "_remake")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = data if isinstance(data, np.ndarray) else np.asarray(data)
@@ -84,6 +111,7 @@ class Tensor:
             arr = arr.astype(np.float32)
         self._data = arr
         self._node = _Node(arr.shape, arr.dtype) if requires_grad else None
+        self._remake: Optional[_Remake] = None  # see _kept
 
     @property
     def data(self) -> np.ndarray:
@@ -222,6 +250,15 @@ def _make(data: np.ndarray, parents: Sequence[Optional[_Node]],
     return out
 
 
+def _kept(t: Tensor) -> Callable[[], np.ndarray]:
+    """What a closure keeps to read t's data in backward: t's remake if the
+    op that made it recorded one, else the array itself."""
+    if t._remake is not None:
+        return t._remake
+    data = t.data
+    return lambda: data
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the original shape."""
     while grad.ndim > len(shape):
@@ -238,8 +275,9 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     An optional bias (broadcast to the product's shape, the product's dtype
     kept) is added into the product in place: the bits of
     ``add(matmul(a, b), bias)`` from one output array and one graph node.
-    Backward keeps each operand only if the other's gradient is wanted, and
-    computes no gradient for an operand that needs none.
+    Backward keeps each operand only if the other's gradient is wanted (its
+    remake, if it has one, in place of its data), and computes no gradient
+    for an operand that needs none.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(
@@ -262,22 +300,22 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         _MAC_COUNTER.add(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
     na, nb = a._node, b._node
     nbias = None if bias is None else bias._node
-    a_data = None if nb is None else a.data
-    b_data = None if na is None else b.data
+    a_kept = None if nb is None else _kept(a)
+    b_kept = None if na is None else _kept(b)
     flat = b.ndim == 2
 
     def backward(g):
         if flat:
             g2 = g.reshape(-1, n)
             if na is not None:
-                _accumulate(na, (g2 @ b_data.T).reshape(na.shape))
+                _accumulate(na, (g2 @ b_kept().T).reshape(na.shape))
             if nb is not None:
-                _accumulate(nb, a_data.reshape(-1, k).T @ g2)
+                _accumulate(nb, a_kept().reshape(-1, k).T @ g2)
         else:
             if na is not None:
-                _accumulate(na, np.matmul(g, np.swapaxes(b_data, -1, -2)))
+                _accumulate(na, np.matmul(g, np.swapaxes(b_kept(), -1, -2)))
             if nb is not None:
-                _accumulate(nb, np.matmul(np.swapaxes(a_data, -1, -2), g))
+                _accumulate(nb, np.matmul(np.swapaxes(a_kept(), -1, -2), g))
         _accumulate(nbias, g)
 
     return _make(out, (na, nb, nbias), backward)
@@ -411,7 +449,13 @@ def softmax(t: Tensor, axis: int) -> Tensor:
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    A recorded output carries a remake, ``xhat * gain + bias`` by the
+    forward's own ops, so a matmul that reads it in backward keeps nothing
+    that this closure does not keep already. Gain and bias must therefore
+    not be written between the forward and its backward.
+    """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(
@@ -422,11 +466,18 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     # Same operations as np.var, without centring x a second time.
     inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + 1e-5)
     xhat *= inv
-    out = xhat * gain.data
-    out += bias.data
-    gain_data, nx, ngain, nbias = gain.data, x._node, gain._node, bias._node
+    gain_data, bias_data = gain.data, bias.data
+    nx, ngain, nbias = x._node, gain._node, bias._node
+
+    def affine():
+        out = xhat * gain_data
+        out += bias_data
+        return out
+
+    remake = _Remake(affine)
 
     def backward(g):
+        remake.drop()  # every reader of the output has run
         # Two full-size buffers: tmp for products with xhat, gx for the result.
         lead = tuple(range(g.ndim - 1))
         tmp = g * xhat
@@ -441,7 +492,10 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gx *= inv
         _accumulate(nx, gx)
 
-    return _make(out, (nx, ngain, nbias), backward)
+    out = _make(affine(), (nx, ngain, nbias), backward)
+    if out.requires_grad:
+        out._remake = remake
+    return out
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -391,6 +391,85 @@ def test_matmul_bias_matches_add_of_matmul_bitwise(dtype, shape):
         assert np.array_equal(folded, plain), name
 
 
+def _readers_loss(h, readers, upstream):
+    """sum_i <matmul(h, w_i, b_i), u_i>: h read by one matmul per reader."""
+    terms = [T.tensor_sum(T.mul(T.matmul(h, w, b), Tensor(u)))
+             for (w, b), u in zip(readers, upstream)]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = T.add(loss, term)
+    return loss
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4, 9, 24), (6, 24)], ids=["tokens", "cls"])
+@pytest.mark.parametrize("n_readers", [1, 3], ids=["one", "qkv"])
+def test_matmul_of_a_layernorm_output_matches_a_copy_bitwise(
+        dtype, shape, n_readers):
+    # The matmuls remake the layernorm output in backward; the reference
+    # chain hands them a leaf holding a copy of it, then backpropagates the
+    # leaf's gradient through the layernorm.
+    rng = np.random.default_rng(13)
+    d = shape[-1]
+    arrays = [rng.normal(size=s).astype(dtype) for s in [shape, (d,), (d,)]]
+    weights = [(rng.normal(size=(d, 5)).astype(dtype),
+                rng.normal(size=(5,)).astype(dtype)) for _ in range(n_readers)]
+    upstream = [rng.normal(size=shape[:-1] + (5,)).astype(dtype)
+                for _ in range(n_readers)]
+    runs = []
+    for remade in (True, False):
+        x, gain, bias = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        readers = [tuple(Tensor(a.copy(), requires_grad=True) for a in wb)
+                   for wb in weights]
+        h = T.layernorm(x, gain, bias)
+        if remade:
+            assert h._remake is not None
+            _readers_loss(h, readers, upstream).backward()
+        else:
+            copy = Tensor(h.data.copy(), requires_grad=True)
+            _readers_loss(copy, readers, upstream).backward()
+            _grads_under(h, copy.grad)
+        runs.append([x.grad, gain.grad, bias.grad]
+                    + [t.grad for wb in readers for t in wb])
+    for i, (remade, copied) in enumerate(zip(*runs)):
+        assert remade.dtype == dtype, i
+        assert np.array_equal(remade, copied), i
+
+
+def test_a_layernorm_output_is_remade_once_and_not_kept():
+    rng = np.random.default_rng(14)
+    x, gain, bias = (Tensor(rng.normal(size=s), requires_grad=True)
+                     for s in [(2, 5, 8), (8,), (8,)])
+    readers = [(Tensor(rng.normal(size=(8, 3)), requires_grad=True),
+                Tensor(rng.normal(size=(3,)), requires_grad=True))
+               for _ in range(3)]
+    h = T.layernorm(x, gain, bias)
+    output, remake = weakref.ref(h.data), h._remake
+    made = []
+    make = remake._make
+    remake._make = lambda: made.append(1) or make()
+    loss = _readers_loss(h, readers, [np.ones((2, 5, 3))] * 3)
+    del h
+    gc.collect()
+    # The matmuls keep the remake, not the output.
+    assert output() is None
+    loss.backward()
+    # One remake shared by the three readers, dropped by the layernorm's
+    # closure, which runs after them.
+    assert made == [1]
+    assert remake._data is None
+
+
+def test_a_layernorm_output_carries_no_remake_without_a_graph():
+    x, gain, bias = (Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True),
+                     Tensor(np.ones(4), requires_grad=True),
+                     Tensor(np.zeros(4), requires_grad=True))
+    with T.no_grad():
+        assert T.layernorm(x, gain, bias)._remake is None
+    plain = (Tensor(t.data) for t in (x, gain, bias))
+    assert T.layernorm(*plain)._remake is None
+
+
 def test_matmul_bias_is_one_node_with_three_parents():
     a, w, b = (Tensor(np.ones(s), requires_grad=True)
                for s in [(2, 3), (3, 4), (4,)])
