@@ -78,11 +78,18 @@ def _prepare_out(cfg: ExperimentConfig, out) -> Path:
     return out
 
 
-def _load_data(cfg: ExperimentConfig):
-    return data.load_dataset(
+def _load_data(cfg: ExperimentConfig, load=data.load_dataset):
+    return load(
         cfg.dataset.source, cfg.dataset.root, seed=cfg.seed,
         synthetic_n=cfg.dataset.train_n, synthetic_val_n=cfg.dataset.val_n,
         classes=cfg.model.num_classes, image_size=cfg.model.image_size)
+
+
+def _val_split(cfg: ExperimentConfig) -> data.Split:
+    """The val split ``_load_data`` gives, bit for bit, without normalizing
+    the train split: eval reads only its channel statistics."""
+    train, val = _load_data(cfg, data._raw_splits)
+    return data.normalize(val, data.channel_stats(train))
 
 
 def _schedule_label(schedule) -> str:
@@ -153,8 +160,7 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args)
     model = checkpoint.load(args.checkpoint)
     _check_geometry(model, cfg)
-    _, val_split = _load_data(cfg)
-    top1 = trainer.evaluate(model, val_split, cfg.schedule,
+    top1 = trainer.evaluate(model, _val_split(cfg), cfg.schedule,
                             batch_size=cfg.train.batch_size)
     print(f"top-1: {top1:.2f}%")
     return EXIT_OK

@@ -152,19 +152,9 @@ def normalize(split: Split, stats: tuple[np.ndarray, np.ndarray]) -> Split:
     return Split(images, split.labels)
 
 
-def load_dataset(source: str, root=None, *, seed: int = 0,
-                 synthetic_n: int = 4096, synthetic_val_n: int = 512,
-                 classes: int = 10, image_size: int = 32):
-    """Resolve a dataset source name to normalized (train, val) splits.
-
-    ``synthetic_n`` and ``synthetic_val_n`` size both sources: cifar10 takes
-    that many leading records of its training and test files. The
-    normalization statistics are those of the train split used, so an empty
-    train split is a ValueError. A source holds the float32 splits it returns
-    plus one bounded chunk: a ``SYNTHETIC_CHUNK`` of float64 noise, or one
-    CIFAR-10 file's raw bytes while it is checked. Taking the statistics and
-    normalizing each hold one more train-sized float32 array at their peak.
-    """
+def _raw_splits(source: str, root, *, seed: int, synthetic_n: int,
+                synthetic_val_n: int, classes: int, image_size: int):
+    """The (train, val) splits ``load_dataset`` normalizes, as loaded."""
     if source == "cifar10":
         if not root:
             raise FileNotFoundError("cifar10 needs a dataset root (set dataset.root)")
@@ -179,6 +169,25 @@ def load_dataset(source: str, root=None, *, seed: int = 0,
         raise ValueError(f"unknown dataset source {source!r}")
     if len(train) == 0:
         raise ValueError("dataset.train_n is 0: no statistics to normalize by")
+    return train, val
+
+
+def load_dataset(source: str, root=None, *, seed: int = 0,
+                 synthetic_n: int = 4096, synthetic_val_n: int = 512,
+                 classes: int = 10, image_size: int = 32):
+    """Resolve a dataset source name to normalized (train, val) splits.
+
+    ``synthetic_n`` and ``synthetic_val_n`` size both sources: cifar10 takes
+    that many leading records of its training and test files. The
+    normalization statistics are those of the train split used, so an empty
+    train split is a ValueError. A source holds the float32 splits it returns
+    plus one bounded chunk: a ``SYNTHETIC_CHUNK`` of float64 noise, or one
+    CIFAR-10 file's raw bytes while it is checked. Taking the statistics and
+    normalizing each hold one more train-sized float32 array at their peak.
+    """
+    train, val = _raw_splits(source, root, seed=seed, synthetic_n=synthetic_n,
+                             synthetic_val_n=synthetic_val_n, classes=classes,
+                             image_size=image_size)
     stats = channel_stats(train)
     train = normalize(train, stats)  # frees the raw train split before val
     return train, normalize(val, stats)

@@ -12,19 +12,30 @@ check's cast) runs in float64 throughout.
 Graph and gradient ownership. The graph holds nodes, not data: a tensor that
 requires grad owns a node with its shape, dtype, gradient, parent nodes and
 backward closure. A closure keeps its parents' nodes and only the arrays its
-backward reads: matmul the operand that the other's gradient needs, softmax
-its output, layernorm ``xhat``, ``inv``, the gain and the bias, gelu its local
-derivative, cross-entropy the logits, mul and div their operands. add, scale,
-the views, sums, ``repeat_batch``, ``concat`` and the row ops keep shapes and
-indices only, so an output that backward never reads is freed when the forward
-code drops it. A layernorm output is not kept at all: matmul keeps its remake
-in place of the array and, when it computes the weight gradient, remakes it
-from the layernorm's ``xhat``, gain and bias by the forward's own ops, once
-per layernorm per backward; the layernorm's closure drops the remade array.
-So a layernorm's gain and bias must not be written between a forward and its
-backward (the optimizer writes them after). Closures hand gradients to
-``_accumulate`` as they are (fresh arrays, views, read-only broadcasts), and
-two rules, one for every node, make that safe:
+backward reads: matmul the operand that the other's gradient needs (its
+remake, if it carries one), softmax its output, layernorm ``xhat``, ``inv``,
+the gain and the bias, gelu its local derivative, cross-entropy the logits,
+mul and div their operands. add, scale, the views, sums, ``repeat_batch``,
+``concat`` and the row ops keep shapes and indices only, so an output that
+backward never reads is freed when the forward code drops it.
+
+Remakes. Some outputs are kept by no closure: backward remakes them. A
+recording layernorm's output carries a remake (see ``_Remake``) that makes
+``xhat * gain + bias`` again by the forward's own ops. So does the output of
+a matmul, reshape, permute, transpose or scale that records with an operand
+carrying one: the op's own function run again on the operands' remakes and
+the other operands' arrays, which the op's closure keeps already (``scores @
+v`` reads the scores that softmax keeps). Attention's q, k and v projections
+and its context are remade this way, each once per backward, by the first
+closure that reads it; an op's closure drops its output's remade array, since
+every reader has run by then. A remake reads the weights and biases of the
+matmuls and the layernorm's gain and bias, so none of them may be written
+between a forward and its backward (the optimizer writes them after). A
+remake's matmul reports no MACs, and under ``no_grad`` nothing carries one.
+
+Gradients. Closures hand gradients to ``_accumulate`` as they are (fresh
+arrays, views, read-only broadcasts), and two rules, one for every node, make
+that safe:
 
 1. a node keeps its first gradient by reference and never writes into it;
 2. a later gradient replaces the node's gradient with a fresh sum.
@@ -81,9 +92,10 @@ class _Node:
 class _Remake:
     """Remakes an op's output in backward from arrays the op's closure keeps.
 
-    Backward closures that read the output keep this in place of the array.
-    They share one remade array, made by the first to call it; the op's own
-    closure, which runs after them all, drops it.
+    Backward closures that read the output, and the remakes of outputs made
+    from it, keep this in place of the array. They share one remade array,
+    made by the first to call it; the op's own closure, which runs after them
+    all, drops it.
     """
 
     __slots__ = ("_make", "_data")
@@ -240,14 +252,31 @@ def _accumulate(node: Optional[_Node], g: np.ndarray) -> None:
 
 
 def _make(data: np.ndarray, parents: Sequence[Optional[_Node]],
-          backward: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap an op's output; record a node when grad is on and a parent has one."""
+          backward: Callable[[np.ndarray], None],
+          remake: Optional[_Remake] = None) -> Tensor:
+    """Wrap an op's output; record a node when grad is on and a parent has one.
+
+    A recorded output carries ``remake``, if one is given, and its node's
+    closure drops the remade array before it runs ``backward``: by then every
+    reader of the output has run.
+    """
     out = Tensor(data)
     if _GRAD_ENABLED:
         parents = tuple(p for p in parents if p is not None)
         if parents:
+            if remake is not None:
+                backward = _dropping(remake, backward)
             out._node = _Node(out.data.shape, out.data.dtype, parents, backward)
+            out._remake = remake
     return out
+
+
+def _dropping(remake: _Remake, backward: Callable[[np.ndarray], None]):
+    def run(g):
+        remake.drop()
+        backward(g)
+
+    return run
 
 
 def _kept(t: Tensor) -> Callable[[], np.ndarray]:
@@ -257,6 +286,19 @@ def _kept(t: Tensor) -> Callable[[], np.ndarray]:
         return t._remake
     data = t.data
     return lambda: data
+
+
+def _carry(op: Callable[..., np.ndarray], *operands: Tensor) -> Optional[_Remake]:
+    """The remake of ``op(*operands)``'s output, or None.
+
+    When the graph records and an operand carries a remake, the output carries
+    one too: ``op`` again, on the operands' remakes and the other operands'
+    arrays, which the op's closure keeps already.
+    """
+    if not _GRAD_ENABLED or all(t._remake is None for t in operands):
+        return None
+    kept = [_kept(t) for t in operands]
+    return _Remake(lambda: op(*(read() for read in kept)))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -277,7 +319,11 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     ``add(matmul(a, b), bias)`` from one output array and one graph node.
     Backward keeps each operand only if the other's gradient is wanted (its
     remake, if it has one, in place of its data), and computes no gradient
-    for an operand that needs none.
+    for an operand that needs none. If an operand carries a remake, so does
+    the output: the same product and bias add, on that remake and the other
+    operand's kept array, without a MAC report. So neither that other
+    operand (a weight, say) nor ``bias`` may be written between the forward
+    and its backward.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(
@@ -288,13 +334,20 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             f"matmul inner dimensions disagree: {list(a.shape)} x {list(b.shape)}"
         )
     k, n = b.shape[-2], b.shape[-1]
-    if b.ndim == 2 and a.ndim > 2:
-        # One large GEMM instead of a loop over the stacked leading dims.
-        out = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
-    else:
-        out = np.matmul(a.data, b.data)
-    if bias is not None:
-        out += bias.data
+    flat = b.ndim == 2
+    bias_data = None if bias is None else bias.data
+
+    def product(ad, bd):
+        if flat and ad.ndim > 2:
+            # One large GEMM instead of a loop over the stacked leading dims.
+            out = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + (n,))
+        else:
+            out = np.matmul(ad, bd)
+        if bias_data is not None:
+            out += bias_data
+        return out
+
+    out = product(a.data, b.data)
     if _MAC_COUNTER is not None:
         batch = int(np.prod(out.shape[:-2], dtype=np.int64)) if out.ndim > 2 else 1
         _MAC_COUNTER.add(batch * a.shape[-2] * a.shape[-1] * b.shape[-1])
@@ -302,7 +355,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     nbias = None if bias is None else bias._node
     a_kept = None if nb is None else _kept(a)
     b_kept = None if na is None else _kept(b)
-    flat = b.ndim == 2
+    remake = _carry(product, a, b)
 
     def backward(g):
         if flat:
@@ -318,7 +371,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
                 _accumulate(nb, np.matmul(np.swapaxes(a_kept(), -1, -2), g))
         _accumulate(nbias, g)
 
-    return _make(out, (na, nb, nbias), backward)
+    return _make(out, (na, nb, nbias), backward, remake)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -355,19 +408,29 @@ def scale(t: Tensor, s: float) -> Tensor:
     s = float(s)
     node = t._node
 
+    def op(d):
+        return d * s
+
+    remake = _carry(op, t)
+
     def backward(g):
         _accumulate(node, g * s)
 
-    return _make(t.data * s, (node,), backward)
+    return _make(op(t.data), (node,), backward, remake)
 
 
 def transpose(t: Tensor, axis0: int, axis1: int) -> Tensor:
     node = t._node
 
-    def backward(g):
-        _accumulate(node, np.swapaxes(g, axis0, axis1))
+    def op(d):
+        return np.swapaxes(d, axis0, axis1)
 
-    return _make(np.swapaxes(t.data, axis0, axis1), (node,), backward)
+    remake = _carry(op, t)
+
+    def backward(g):
+        _accumulate(node, op(g))
+
+    return _make(op(t.data), (node,), backward, remake)
 
 
 def permute(t: Tensor, axes: Sequence[int]) -> Tensor:
@@ -375,19 +438,30 @@ def permute(t: Tensor, axes: Sequence[int]) -> Tensor:
     inverse = tuple(np.argsort(axes))
     node = t._node
 
+    def op(d):
+        return np.transpose(d, axes)
+
+    remake = _carry(op, t)
+
     def backward(g):
         _accumulate(node, np.transpose(g, inverse))
 
-    return _make(np.transpose(t.data, axes), (node,), backward)
+    return _make(op(t.data), (node,), backward, remake)
 
 
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
+    shape = tuple(shape)
     node = t._node
+
+    def op(d):
+        return d.reshape(shape)
+
+    remake = _carry(op, t)
 
     def backward(g):
         _accumulate(node, g.reshape(node.shape))
 
-    return _make(t.data.reshape(tuple(shape)), (node,), backward)
+    return _make(op(t.data), (node,), backward, remake)
 
 
 def tensor_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -474,10 +548,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         out += bias_data
         return out
 
-    remake = _Remake(affine)
-
     def backward(g):
-        remake.drop()  # every reader of the output has run
         # Two full-size buffers: tmp for products with xhat, gx for the result.
         lead = tuple(range(g.ndim - 1))
         tmp = g * xhat
@@ -492,10 +563,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gx *= inv
         _accumulate(nx, gx)
 
-    out = _make(affine(), (nx, ngain, nbias), backward)
-    if out.requires_grad:
-        out._remake = remake
-    return out
+    return _make(affine(), (nx, ngain, nbias), backward, _Remake(affine))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

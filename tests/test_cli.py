@@ -5,7 +5,7 @@ import json
 import pytest
 
 from test_data import _fabricate_root
-from tokenskip import checkpoint, cli
+from tokenskip import checkpoint, cli, config, data
 from tokenskip.vit import MODEL_PRESETS, ViT
 
 TINY = ["--set", "model.preset=tiny", "--set", "dataset.train_n=24",
@@ -241,6 +241,22 @@ class TestTrainEvalBench:
                            str(out_dir / "model.ckpt"), *TINY)
         assert code == 0
         assert "top-1" in out
+
+    @pytest.mark.parametrize("source", ["synthetic", "cifar10"])
+    def test_eval_normalizes_only_val_with_the_same_bytes(
+            self, monkeypatch, tmp_path, source):
+        _fabricate_root(tmp_path)
+        cfg = config.build({"model.preset": "desk", "dataset.source": source,
+                            "dataset.root": str(tmp_path),
+                            "dataset.train_n": "12", "dataset.val_n": "3"})
+        _, want = cli._load_data(cfg)
+        normalized, normalize = [], data.normalize
+        monkeypatch.setattr(data, "normalize", lambda split, stats: (
+            normalized.append(len(split)) or normalize(split, stats)))
+        got = cli._val_split(cfg)
+        assert normalized == [3]
+        assert got.images.tobytes() == want.images.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
 
     def test_train_is_reproducible(self, capsys, tmp_path):
         blobs = []

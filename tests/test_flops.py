@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from tokenskip.flops import estimate_flops, measure_forward_macs
+from tokenskip import trainer
+from tokenskip.flops import count_macs, estimate_flops, measure_forward_macs
+from tokenskip.optim import AdamW
 from tokenskip.tokendrop import DropSchedule, MODE_FUSE, MODE_SKIP
 from tokenskip.vit import ModelConfig, ViT
 
@@ -75,3 +77,17 @@ def test_estimate_matches_counter_single_layer():
     model = ViT(config, seed=1)
     report = estimate_flops(config, DropSchedule())
     assert report.schedule_total == measure_forward_macs(model, DropSchedule())
+
+
+# perfbench's macs check counts a whole train step against the forward
+# estimate, so backward's GEMMs, the remakes' included, must report nothing.
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_a_train_step_counts_only_its_forward(name):
+    schedule = SCHEDULES[name](12)
+    model = ViT(cfg(12), seed=0)
+    rng = np.random.default_rng(0)
+    images = rng.normal(size=(4, 3, 4, 4)).astype(np.float32)
+    with count_macs() as counter:
+        trainer._train_step(model, schedule, AdamW(model.params), images,
+                            np.arange(4) % 3, 0, 0, 1e-3)
+    assert counter.total == 4 * estimate_flops(model.config, schedule).schedule_total

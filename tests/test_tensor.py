@@ -8,7 +8,7 @@ import pytest
 from tokenskip import tensor as T, trainer
 from tokenskip.optim import AdamW
 from tokenskip.tensor import Tensor
-from tokenskip.tokendrop import MODE_SKIP, PAST_WARMUP, DropSchedule
+from tokenskip.tokendrop import MODE_FUSE, MODE_SKIP, PAST_WARMUP, DropSchedule
 from tokenskip.vit import MODEL_PRESETS, ModelConfig, ViT
 
 from gradcheck import finite_difference, relative_error
@@ -468,6 +468,93 @@ def test_a_layernorm_output_carries_no_remake_without_a_graph():
         assert T.layernorm(x, gain, bias)._remake is None
     plain = (Tensor(t.data) for t in (x, gain, bias))
     assert T.layernorm(*plain)._remake is None
+
+
+CARRYING_OPS = {
+    "matmul": lambda h: T.matmul(h, Tensor(np.linspace(-1.0, 1.0, 24).reshape(8, 3),
+                                           requires_grad=True),
+                                 Tensor(np.arange(3.0))),
+    "matmul_rhs": lambda h: T.matmul(
+        Tensor(np.linspace(-1.0, 1.0, 50).reshape(2, 5, 5)), h),
+    "reshape": lambda h: T.reshape(h, (2, 5, 2, 4)),
+    "permute": lambda h: T.permute(h, (0, 2, 1)),
+    "transpose": lambda h: T.transpose(h, -1, -2),
+    "scale": lambda h: T.scale(h, 0.35),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", sorted(CARRYING_OPS))
+def test_an_op_on_a_remade_operand_carries_a_bitwise_remake(op, dtype):
+    rng = np.random.default_rng(15)
+    x, gain, bias = (Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                     for s in [(2, 5, 8), (8,), (8,)])
+    out = CARRYING_OPS[op](T.layernorm(x, gain, bias))
+    assert out._remake is not None
+    remade = out._remake()
+    assert remade.dtype == out.dtype and remade.strides == out.data.strides
+    assert not np.shares_memory(remade, out.data)
+    assert np.array_equal(remade, out.data)
+
+
+def _remake_spy(monkeypatch):
+    """Record (the forward's array, its remake, the remake's calls) for every
+    op output that carries a remake."""
+    carried = []
+    make = T._make
+
+    def spy(*args):
+        out = make(*args)
+        if out._remake is not None:
+            calls, inner = [], out._remake._make
+            out._remake._make = lambda: calls.append(1) or inner()
+            carried.append((weakref.ref(out.data), out._remake, calls))
+        return out
+
+    monkeypatch.setattr(T, "_make", spy)
+    return carried
+
+
+@pytest.mark.parametrize("schedule", [
+    DropSchedule(),
+    DropSchedule(stages=((3, 0.55),), skip_target=5, mode=MODE_SKIP),
+    DropSchedule(stages=((3, 0.45),), mode=MODE_FUSE),
+], ids=["dense", "skip", "fuse"])
+def test_no_op_output_carries_a_remake_without_a_graph(monkeypatch, schedule):
+    model = ViT(MODEL_PRESETS["desk"], seed=0)
+    rng = np.random.default_rng(17)
+    images = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
+    carried = _remake_spy(monkeypatch)
+    with T.no_grad():
+        model.forward(images, schedule)
+    assert carried == []
+    # The same forward with a graph: 19 a block (17 in attention, the ln2
+    # output and the w1 product), and the ln_f output and the logits.
+    model.forward(images, schedule)
+    assert len(carried) == 19 * 6 + 2
+
+
+def test_attention_arrays_are_remade_once_and_not_kept(monkeypatch):
+    model = ViT(MODEL_PRESETS["tiny"], seed=0)
+    rng = np.random.default_rng(16)
+    tokens = model.patchify(rng.normal(size=(2, 3, 4, 4)).astype(np.float32))
+    carried = _remake_spy(monkeypatch)
+    res, scores = model.attention_block(tokens, 0)
+    loss = T.tensor_sum(T.mul(res.embeddings,
+                              Tensor(rng.normal(size=res.embeddings.shape))))
+    del res, scores, tokens
+    gc.collect()
+    # The layernorm output; q, k and v, each projected, reshaped and
+    # permuted; q scaled, k transposed, their product, the context, its
+    # permute and reshape, and the wo projection.
+    assert len(carried) == 17
+    assert [ref() for ref, _, _ in carried] == [None] * 17
+    loss.backward()
+    # The logits feed softmax, which keeps its output, and the wo product
+    # feeds add: nothing reads their remakes. Every other remake is made
+    # once and dropped by its op's closure.
+    assert sorted(len(calls) for _, _, calls in carried) == [0] * 2 + [1] * 15
+    assert all(remake._data is None for _, remake, _ in carried)
 
 
 def test_matmul_bias_is_one_node_with_three_parents():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tokenskip import tensor as T, tokendrop, vit
+from tokenskip import tensor as T, tokendrop, trainer, vit
 from tokenskip.data import CHANNELS
 from tokenskip.tensor import Tensor
 from tokenskip.tokendrop import DropSchedule, MODE_FUSE, MODE_SKIP
@@ -354,16 +354,18 @@ class TestForward:
 
 
 class TestGraphMemory:
-    # A desk train-forward graph at batch 8 keeps 24.7 / 21.1 / 20.2 MiB
+    # A desk train-forward graph at batch 8 keeps 18.6 / 15.6 / 15.0 MiB
     # (dense / skip / fuse): the arrays its backward closures read, with each
-    # layernorm output remade from the layernorm's xhat for its matmuls. The
-    # bounds sit about 10% above, and below the 27.7 / 23.7 / 22.7 MiB of a
-    # graph whose matmuls also kept each layernorm output; a graph that also
-    # kept every node output held 52.9 / 46.0 / 43.5 MiB.
+    # layernorm output, the q, k and v projections and the attention context
+    # remade in backward from the layernorm's xhat, the weights and the
+    # scores. The bounds sit about 10% above, and below the 24.7 / 21.1 /
+    # 20.2 MiB of a graph that kept q, k, v and the context; one whose
+    # matmuls also kept each layernorm output held 27.7 / 23.7 / 22.7 MiB,
+    # and one that kept every node output 52.9 / 46.0 / 43.5 MiB.
     @pytest.mark.parametrize("schedule, bound_mib", [
-        (DropSchedule(), 27.2),
-        (DropSchedule(stages=((3, 0.55),), skip_target=5, mode=MODE_SKIP), 23.3),
-        (DropSchedule(stages=((3, 0.45),), mode=MODE_FUSE), 22.2),
+        (DropSchedule(), 20.5),
+        (DropSchedule(stages=((3, 0.55),), skip_target=5, mode=MODE_SKIP), 17.2),
+        (DropSchedule(stages=((3, 0.45),), mode=MODE_FUSE), 16.5),
     ], ids=["dense", "skip", "fuse"])
     def test_train_forward_graph_keeps_only_what_backward_reads(
             self, schedule, bound_mib):
@@ -426,7 +428,7 @@ class TestGraphMemory:
         assert above < 3 * 2 ** 20, f"{above / 2 ** 20:.2f} MiB"
 
     # A spent graph holds the leaf gradients and about 0.02 MiB more; one
-    # that kept its closures held the whole graph, 24.7 / 21.1 / 20.2 MiB.
+    # that kept its closures held the whole graph, 18.6 / 15.6 / 15.0 MiB.
     @SCHEDULES
     def test_spent_graph_holds_only_leaf_gradients(self, schedule):
         _, held = self._traced_backward(schedule)
@@ -444,6 +446,45 @@ class TestGraphMemory:
         tape = T.ComputeTape(T.cross_entropy(logits, np.arange(8) % 10))
         assert all(node.backward_fn is not None for node in tape.nodes)
         assert len(tape.nodes) == nodes
+
+
+class TestTrainStep:
+    # The loss and every parameter gradient of one desk batch-8 step, pinned
+    # so that what backward keeps or remakes cannot change their bits
+    # unnoticed. Taken with one BLAS thread: at this batch OpenBLAS sums the
+    # weight-gradient products differently on two.
+    DIGESTS = {
+        "dense": ("8bc3628d8b4442d9eae58f492d95796a62833ec40cb71e54e548754aeb6c5ebe",
+                  "5f2593122e2c1d4ae4c37e0d300771e012b146db553fe4f1f8a8b86bac57c6cb"),
+        "skip": ("f348885ebf382c1861d03a267d41ec033c52c95829000dd6af97426ae47f7770",
+                 "0a55f7e2741c879cf356f496438d772f925a3970e2a1ba882548406d3dc432aa"),
+        "fuse": ("d48890a3a5b112eeec68067e35008ca311c3d2772c5deb6d9e2b7beeda2a923e",
+                 "299598f2f42f1a223c364fa5f5bff6ec7672976617f24cfc238a61f017a2ca14"),
+    }
+
+    @pytest.mark.parametrize("name, schedule", [
+        ("dense", DropSchedule()),
+        ("skip", DropSchedule(stages=((3, 0.55),), skip_target=5, mode=MODE_SKIP)),
+        ("fuse", DropSchedule(stages=((3, 0.45),), mode=MODE_FUSE)),
+    ], ids=["dense", "skip", "fuse"])
+    def test_step_bytes_are_pinned(self, name, schedule):
+        controls = trainer._openblas_threads()
+        if controls is None:
+            pytest.skip("no OpenBLAS thread controls found")
+        get, set_ = controls
+        config = MODEL_PRESETS["desk"]
+        model = ViT(config, seed=0)
+        saved = get()
+        set_(1)
+        try:
+            logits, _ = model.forward(images_for(config, batch=8), schedule)
+            loss = T.cross_entropy(logits, np.arange(8) % 10)
+            loss.backward()
+        finally:
+            set_(saved)
+        grads = b"".join(p.grad.tobytes() for p in model.params.values())
+        assert (hashlib.sha256(loss.data.tobytes()).hexdigest(),
+                hashlib.sha256(grads).hexdigest()) == self.DIGESTS[name]
 
 
 class TestEndToEndGradient:
