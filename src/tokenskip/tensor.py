@@ -50,11 +50,20 @@ leaf ``.grad``. A spent node's closure is ``_spent``, never ``None``, which
 would make it pass for a leaf and silently cut the gradient flowing through
 it. A graph is single-use: a ``backward`` whose graph reaches a spent node
 raises ``RuntimeError`` before it changes any gradient.
+
+Shards. A train step may run its batch as shards, each building its own
+graph and walking it on its own thread (``ShardSums``). The four sites that
+sum a parameter's gradient over the batch's rows (matmul's weight and bias,
+layernorm's gain and bias, add's broadcast, ``repeat_batch``) go through
+``_batch_sum``, which in a shard's walk hands the rows over so that the sum
+runs once, over the whole batch; ``_accumulate`` refuses a parameter any
+other gradient there.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -64,6 +73,10 @@ import numpy as np
 _MAC_COUNTER = None
 
 _GRAD_ENABLED = True
+
+# The calling thread's shard of a sharded backward, if it walks one: its
+# ShardSums as ``.sums`` and its shard number as ``.index``.
+_SHARD = threading.local()
 
 
 @contextmanager
@@ -183,16 +196,7 @@ class Tensor:
             raise ValueError(
                 f"backward requires a scalar loss, got shape {list(self.shape)}"
             )
-        root = self._node
-        if root is None:
-            return
-        tape = ComputeTape(self)
-        _accumulate(root, np.ones_like(self.data))
-        for node in reversed(tape.nodes):
-            # Every node on the tape feeds the root, so its children have
-            # handed it a gradient by now.
-            node.backward_fn(node.grad)
-            node.grad, node.backward_fn, node.parents = None, _spent, ()
+        _walk(self, np.ones_like(self.data))
 
     def __repr__(self):
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
@@ -227,6 +231,109 @@ class ComputeTape:
                 stack.append((parent, False))
 
 
+def _walk(root: Tensor, grad: np.ndarray) -> None:
+    """Hand root grad and run each op node's closure once, children before
+    parents, spending the graph as it goes (see ``Tensor.backward``)."""
+    if root._node is None:
+        return
+    tape = ComputeTape(root)
+    _accumulate(root._node, grad)
+    for node in reversed(tape.nodes):
+        # Every node on the tape feeds the root, so its children have
+        # handed it a gradient by now.
+        node.backward_fn(node.grad)
+        node.grad, node.backward_fn, node.parents = None, _spent, ()
+
+
+class ShardSums:
+    """The parameter-gradient sums of one step whose batch runs as shards.
+
+    Each shard builds its own graph from a contiguous block of the batch and
+    walks it with ``backward`` on its own thread. Every parameter gradient
+    is a sum over the batch's rows, made at four sites: matmul's ``Xᵀ·G``
+    and its bias, layernorm's gain and bias, add's broadcast (``pos``) and
+    ``repeat_batch`` (``cls``). In a shard's walk these sites hand over
+    their unreduced rows instead (``_batch_sum``), and each site's sum runs
+    once, on all shards' rows concatenated in batch order and in the memory
+    order the shards' operands share, which is the whole batch's operand's.
+    So every parameter gradient has the bits of the whole batch's backward
+    wherever each row's own ops do (see ``trainer._shards``).
+
+    The sums of a parameter run on the shard that handed over its rows
+    first, in site order, once every shard has handed over: at that shard's
+    next site, or after its walk, which waits for them. So no shard waits
+    for another during its walk, and the sums fall on the shards that run
+    ahead. Shards walk the same graph shape, so they reach the sites in the
+    same order. A shard whose walk raises stops the others at their next
+    site or their wait. Any other route of a gradient into a parameter
+    during a shard's walk raises: its sum would be the shard's own.
+    """
+
+    def __init__(self, shards: int):
+        self.shards = shards
+        self._cond = threading.Condition()
+        self._sites = [0] * shards  # sites each shard has reached
+        self._slots: dict = {}      # site -> [node, owner, rows by shard]
+        self._owner: dict = {}      # node -> shard that runs its sums
+        self._ready = [[] for _ in range(shards)]  # owner's (node, total, rows)
+        self._owed = [0] * shards   # sums each owner has yet to run
+        self._failed: Optional[BaseException] = None
+
+    def backward(self, root: Tensor, grad: np.ndarray, index: int) -> None:
+        """Walk shard ``index``'s graph from root's gradient ``grad`` on the
+        calling thread, then run the sums it owns as they become ready."""
+        _SHARD.sums, _SHARD.index = self, index
+        try:
+            _walk(root, grad)
+            self._run_ready(index, wait=True)
+        except BaseException as exc:
+            with self._cond:
+                if self._failed is None:
+                    self._failed = exc
+                self._cond.notify_all()
+            raise
+        finally:
+            _SHARD.sums = None
+
+    def _hand_over(self, index: int, node: _Node, total, rows: tuple) -> None:
+        with self._cond:
+            self._check()
+            site = self._sites[index]
+            self._sites[index] += 1
+            if site not in self._slots:
+                owner = self._owner.setdefault(node, index)
+                self._slots[site] = [node, owner, [None] * self.shards]
+                self._owed[owner] += 1
+            slot_node, owner, parts = self._slots[site]
+            if slot_node is not node:
+                raise RuntimeError("shards reached different parameter sums")
+            parts[index] = rows
+            if None not in parts:
+                del self._slots[site]
+                self._ready[owner].append((node, total, parts))
+                self._cond.notify_all()
+        self._run_ready(index, wait=False)
+
+    def _run_ready(self, index: int, wait: bool) -> None:
+        """Run this shard's ready sums; with ``wait``, until none is owed."""
+        while True:
+            with self._cond:
+                while not self._ready[index]:
+                    self._check()
+                    if not wait or self._owed[index] == 0:
+                        return
+                    self._cond.wait()
+                self._check()
+                node, total, parts = self._ready[index].pop(0)
+                self._owed[index] -= 1
+            # np.concatenate keeps the stride order its operands share.
+            _add(node, total(*(np.concatenate(rows) for rows in zip(*parts))))
+
+    def _check(self) -> None:
+        if self._failed is not None:
+            raise RuntimeError("another shard's backward failed") from self._failed
+
+
 def _spent(g: np.ndarray) -> None:
     """The closure of a node whose backward has run (see the module notes)."""
     raise RuntimeError("backward through a spent graph node")
@@ -242,6 +349,30 @@ def _accumulate(node: Optional[_Node], g: np.ndarray) -> None:
     """
     if node is None:
         return
+    if node.backward_fn is None and getattr(_SHARD, "sums", None) is not None:
+        raise RuntimeError("a shard's backward passed a parameter a gradient "
+                           "that is not a whole-batch sum")
+    _add(node, g)
+
+
+def _batch_sum(node: Optional[_Node], total: Callable[..., np.ndarray],
+               *rows: np.ndarray) -> None:
+    """Accumulate ``total(*rows)``, a sum over the batch, the leading axis of
+    every operand in ``rows``, into node. In a shard's backward a parameter
+    takes it once for the whole batch instead (see ``ShardSums``), so no
+    operand may be written once handed here."""
+    sums = getattr(_SHARD, "sums", None)
+    if sums is not None and node is not None and node.backward_fn is None:
+        sums._hand_over(_SHARD.index, node, total, rows)
+    else:
+        _accumulate(node, total(*rows))
+
+
+def _as_is(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def _add(node: _Node, g: np.ndarray) -> None:
     if g.shape != node.shape:
         g = _unbroadcast(g, node.shape)
     if node.grad is None:
@@ -363,23 +494,27 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             if na is not None:
                 _accumulate(na, (g2 @ b_kept().T).reshape(na.shape))
             if nb is not None:
-                _accumulate(nb, a_kept().reshape(-1, k).T @ g2)
+                _batch_sum(nb, _weight_sum, a_kept().reshape(-1, k), g2)
         else:
             if na is not None:
                 _accumulate(na, np.matmul(g, np.swapaxes(b_kept(), -1, -2)))
             if nb is not None:
                 _accumulate(nb, np.matmul(np.swapaxes(a_kept(), -1, -2), g))
-        _accumulate(nbias, g)
+        _batch_sum(nbias, _as_is, g)
 
     return _make(out, (na, nb, nbias), backward, remake)
+
+
+def _weight_sum(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return a.T @ g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     na, nb = a._node, b._node
 
     def backward(g):
-        _accumulate(na, g)
-        _accumulate(nb, g)
+        _batch_sum(na, _as_is, g)
+        _batch_sum(nb, _as_is, g)
 
     return _make(a.data + b.data, (na, nb), backward)
 
@@ -496,9 +631,13 @@ def repeat_batch(t: Tensor, batch: int) -> Tensor:
     node = t._node
 
     def backward(g):
-        _accumulate(node, g.sum(axis=0, keepdims=True))
+        _batch_sum(node, _copies_sum, g)
 
     return _make(np.repeat(t.data, batch, axis=0), (node,), backward)
+
+
+def _copies_sum(g: np.ndarray) -> np.ndarray:
+    return g.sum(axis=0, keepdims=True)
 
 
 def softmax(t: Tensor, axis: int) -> Tensor:
@@ -549,14 +688,19 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         return out
 
     def backward(g):
-        # Two full-size buffers: tmp for products with xhat, gx for the result.
+        # Two full-size buffers: tmp for products with xhat, gx for the
+        # result. The gain's rows are a third, freed before either is made
+        # unless a shard hands them over.
         lead = tuple(range(g.ndim - 1))
-        tmp = g * xhat
-        _accumulate(ngain, tmp.sum(axis=lead))
-        _accumulate(nbias, g.sum(axis=lead))
+
+        def lead_sum(rows):
+            return rows.sum(axis=lead)
+
+        _batch_sum(ngain, lead_sum, g * xhat)
+        _batch_sum(nbias, lead_sum, g)
         gx = g * gain_data
         mean_gx = gx.mean(axis=-1, keepdims=True)
-        np.multiply(gx, xhat, out=tmp)
+        tmp = gx * xhat
         np.multiply(xhat, tmp.mean(axis=-1, keepdims=True), out=tmp)
         gx -= mean_gx
         gx -= tmp

@@ -9,6 +9,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -27,10 +28,11 @@ TIMING_FILE = "timing.jsonl"
 # glibc mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 _BENCHMARK_PAIRS = 14  # timed dense/schedule pairs
 
-_SHARD_SAMPLES = 16  # evaluate's shards start at multiples of this
+_SHARD_SAMPLES = 16  # shards start at multiples of this (see _shards)
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy ships with.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -122,8 +124,13 @@ def _keep_heap() -> None:
     Both values must be set: setting either alone freezes glibc's dynamic
     mmap threshold at 128 KiB. So the trim threshold is set only once the
     mmap threshold is accepted (a 32-bit glibc rejects 32 MiB and keeps its
-    default behaviour). A no-op where the C library cannot be loaded or has
-    no mallopt; setting it again is harmless.
+    default behaviour). Every thread also allocates from the one main
+    arena: a shard's thread would otherwise take an arena of its own, which
+    frees whole heaps as its graph goes and holds memory the other shards
+    cannot reuse (desk train-dense at batch 64 on 2 CPUs: thousands of page
+    faults a step, and about 12 MB more peak RSS). A no-op where the C
+    library cannot be loaded or has no mallopt; setting it again is
+    harmless.
     """
     try:
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
@@ -135,6 +142,7 @@ def _keep_heap() -> None:
     mallopt.restype = ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:
         mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 @functools.cache
@@ -170,16 +178,11 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-@functools.cache
-def _shard_pool() -> ThreadPoolExecutor:
-    """Threads for evaluate's shards after the first, made on first use."""
-    return ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="tokenskip-eval")
-
-
 # The functions a shard runs, as this package defines them. Wrappers put in
 # their place from outside (a profiler's, say) need not be safe to call from
-# several threads at once, so evaluate then runs each batch whole.
-_SHARD_CODE = {(owner, name): fn for owner in (ViT, vit, T, tokendrop)
+# several threads at once, so a batch then runs whole.
+_SHARD_CODE = {(owner, name): fn
+               for owner in (ViT, vit, T, T.Tensor, T.ShardSums, tokendrop)
                for name, fn in vars(owner).items() if callable(fn)}
 
 
@@ -188,45 +191,70 @@ def _own_code() -> bool:
                for (owner, name), fn in _SHARD_CODE.items())
 
 
-def _eval_logits(model: ViT, images: np.ndarray, schedule: DropSchedule,
-                 epoch: int) -> np.ndarray:
-    """Logits of one batch (call under no_grad), run as contiguous shards at
-    once, at most one per CPU, the calling thread taking the first.
+@contextmanager
+def _shards(samples: int):
+    """The row slices a batch of ``samples`` runs as: contiguous shards run
+    at once, at most one per CPU (``_each``), with OpenBLAS held at one
+    thread until the block exits.
 
     Each shard starts at a multiple of _SHARD_SAMPLES samples, so at a
     multiple of 16 rows of every product; all but the last hold a multiple
     of it, the last the rest. OpenBLAS computes a product's rows in blocks
     of its kernel's unroll and rounds a partial last block differently.
     Wherever the unroll divides 16, every row then lies in the same kind of
-    block as in the whole batch, and the concatenated logits are the whole
+    block as in the whole batch, and each row's results are the whole
     batch's bit for bit. Unaligned shards need not be: 13-sample shards
     change a 7-class head's logits, and a 1-sample shard takes the
-    matrix-vector path. Without OpenBLAS thread controls, or with a
-    function of the forward path replaced from outside (``_own_code``),
-    the batch runs whole.
+    matrix-vector path. Nor need the small products that OpenBLAS gives a
+    kernel of their own: on a SkylakeX core the tiny preset's FFN input
+    gradient, 80 rows of (rows, 32) @ (32, 8)ᵀ, differs from 160 rows at
+    once, so its train steps differ from whole ones in their last bits. A batch below two aligned shards, or one run
+    without OpenBLAS thread controls or with a function of the step's path
+    replaced from outside (``_own_code``), runs whole: one slice, with the
+    thread count left alone. One BLAS thread per call keeps concurrent calls
+    from queueing for OpenBLAS's one shared thread pool.
     """
-    def logits(shard):
-        return model.forward(shard, schedule, epoch=epoch)[0].data
-
-    units = len(images) // _SHARD_SAMPLES
+    units = samples // _SHARD_SAMPLES
     controls = _openblas_threads() if _own_code() else None
     k = min(_cpus(), units) if controls is not None else 1
     if k <= 1:
-        return logits(images)
-    shards = np.split(images, [_SHARD_SAMPLES * (units * i // k)
-                               for i in range(1, k)])
-    # One BLAS thread per call while the shards run: concurrent calls would
-    # otherwise queue for OpenBLAS's one shared thread pool.
+        yield [slice(0, samples)]
+        return
+    bounds = [0] + [_SHARD_SAMPLES * (units * i // k) for i in range(1, k)]
     get, set_ = controls
-    saved, rest = get(), []
+    saved = get()
     set_(1)
     try:
-        rest = [_shard_pool().submit(logits, shard) for shard in shards[1:]]
-        first = logits(shards[0])
+        yield [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [samples])]
     finally:
-        wait(rest)
         set_(saved)
-    return np.concatenate([first] + [f.result() for f in rest])
+
+
+def _each(fn, items: list) -> list:
+    """``fn`` of every item at once, the calling thread taking the first and
+    a thread of its own each of the rest (a shard's backward waits for the
+    others' rows, so none may queue); once all have returned or raised, the
+    results in order, or the calling thread's error, else the first other."""
+    if len(items) == 1:
+        return [fn(items[0])]
+    with ThreadPoolExecutor(len(items) - 1,
+                            thread_name_prefix="tokenskip-shard") as pool:
+        rest = [pool.submit(fn, item) for item in items[1:]]
+        try:
+            first = fn(items[0])
+        finally:
+            wait(rest)
+    return [first] + [f.result() for f in rest]
+
+
+def _eval_logits(model: ViT, images: np.ndarray, schedule: DropSchedule,
+                 epoch: int) -> np.ndarray:
+    """Logits of one batch (call under no_grad), run as ``_shards``: the
+    concatenated logits are one forward's."""
+    with _shards(len(images)) as parts:
+        logits = _each(lambda part: model.forward(images[part], schedule,
+                                                  epoch=epoch)[0].data, parts)
+    return logits[0] if len(logits) == 1 else np.concatenate(logits)
 
 
 def _minor_faults() -> int:
@@ -241,18 +269,38 @@ def _minor_faults() -> int:
 def _train_step(model: ViT, schedule: DropSchedule, opt: AdamW,
                 images: np.ndarray, labels: np.ndarray, epoch: int, step: int,
                 lr: float):
-    """Forward, loss, backward and AdamW update; returns (loss, logits, diag)."""
-    logits, diag = model.forward(images, schedule, epoch=epoch)
-    loss = T.cross_entropy(logits, labels)
-    if not np.isfinite(loss.data):
-        raise RuntimeError(f"non-finite loss {float(loss.data)} at "
-                           f"epoch {epoch} step {step}")
-    opt.zero_grad()
-    loss.backward()
+    """Forward, loss, backward and AdamW update; returns (loss, logits, diag).
+
+    The batch runs as ``_shards``, each with its own graph. The loss is
+    taken once, on the concatenated logits, and each shard walks its graph
+    from its rows of their gradient, the parameter sums running once over
+    the whole batch (``tensor.ShardSums``). So the step has the bits of the
+    whole batch at one BLAS thread wherever its rows do (see ``_shards``).
+    If a shard raises, the step raises once every shard has stopped, before
+    the update.
+    """
+    with _shards(len(images)) as parts:
+        outs = _each(lambda part: model.forward(images[part], schedule,
+                                                epoch=epoch), parts)
+        if len(parts) == 1:
+            logits = outs[0][0]
+        else:
+            logits = T.Tensor(np.concatenate([out.data for out, _ in outs]),
+                              requires_grad=True)
+        loss = T.cross_entropy(logits, labels)
+        if not np.isfinite(loss.data):
+            raise RuntimeError(f"non-finite loss {float(loss.data)} at "
+                               f"epoch {epoch} step {step}")
+        opt.zero_grad()
+        loss.backward()
+        if len(parts) > 1:
+            sums = T.ShardSums(len(parts))
+            _each(lambda i: sums.backward(outs[i][0], logits.grad[parts[i]], i),
+                  list(range(len(parts))))
     opt.step(lr)
     # backward freed each activation as it passed it; a float and an array
     # hold no node, so the spent graph's nodes go on return.
-    return float(loss.data), logits.data, diag
+    return float(loss.data), logits.data, outs[0][1]
 
 
 def check_inputs(model: ViT, schedule: DropSchedule, cfg: TrainConfig,

@@ -81,13 +81,26 @@ def test_estimate_matches_counter_single_layer():
 
 # perfbench's macs check counts a whole train step against the forward
 # estimate, so backward's GEMMs, the remakes' included, must report nothing.
-@pytest.mark.parametrize("name", sorted(SCHEDULES))
-def test_a_train_step_counts_only_its_forward(name):
-    schedule = SCHEDULES[name](12)
-    model = ViT(cfg(12), seed=0)
+# Desk at batch 32 on two CPUs runs as two shards, each counting on its own
+# thread.
+DESK = ModelConfig(depth=6, heads=4, embed_dim=128, patch_size=4,
+                   image_size=32, num_classes=10)
+
+
+@pytest.mark.parametrize(
+    "name,sharded", [(name, False) for name in sorted(SCHEDULES)]
+    + [(name, True) for name in sorted(SCHEDULES)],
+    ids=sorted(SCHEDULES) + [f"desk-batch32-2cpus-{name}"
+                             for name in sorted(SCHEDULES)])
+def test_a_train_step_counts_only_its_forward(name, sharded, monkeypatch):
+    config, batch = (DESK, 32) if sharded else (cfg(12), 4)
+    monkeypatch.setattr(trainer, "_cpus", lambda: 2 if sharded else 1)
+    schedule = SCHEDULES[name](config.depth)
+    model = ViT(config, seed=0)
     rng = np.random.default_rng(0)
-    images = rng.normal(size=(4, 3, 4, 4)).astype(np.float32)
+    size = config.image_size
+    images = rng.normal(size=(batch, 3, size, size)).astype(np.float32)
     with count_macs() as counter:
         trainer._train_step(model, schedule, AdamW(model.params), images,
-                            np.arange(4) % 3, 0, 0, 1e-3)
-    assert counter.total == 4 * estimate_flops(model.config, schedule).schedule_total
+                            np.arange(batch) % config.num_classes, 0, 0, 1e-3)
+    assert counter.total == batch * estimate_flops(config, schedule).schedule_total

@@ -15,6 +15,7 @@ import pytest
 
 from tokenskip import cli, config, data, flops, tokendrop, trainer
 from tokenskip import tensor as T
+from tokenskip.optim import AdamW
 from tokenskip.tokendrop import PAST_WARMUP, DropSchedule, MODE_SKIP
 from tokenskip.trainer import TrainConfig
 from tokenskip.vit import ModelConfig, ViT
@@ -350,6 +351,152 @@ def test_macs_of_a_sharded_evaluate_are_all_counted(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _blas_at_one_thread():
+    """(get, set) OpenBLAS thread controls, or skip the test without them."""
+    controls = trainer._openblas_threads()
+    if controls is None:
+        pytest.skip("no OpenBLAS thread controls found")
+    return controls
+
+
+def _three_steps(model, schedule, images, labels):
+    """Three train steps; the first's loss, logits and parameter gradients."""
+    opt = AdamW(model.params, weight_decay=0.05)
+    first = None
+    for step in range(3):
+        loss, logits, _ = trainer._train_step(model, schedule, opt, images,
+                                              labels, PAST_WARMUP, step, 1e-3)
+        if first is None:
+            first = (loss, logits.copy(),
+                     {k: p.grad.copy() for k, p in model.params.items()})
+    return first
+
+
+# The eval shard cases; desk fuse has no drop-after-FFN variant, since
+# schedule.drop_after_ffn is not a key (tests/test_cli.py). The tiny
+# preset's do not hold: its FFN input gradient, (rows, 32) @ (32, 8)ᵀ, is
+# small enough for OpenBLAS's SkylakeX small-matrix kernel, which does not
+# give a shard's rows the whole batch's bits (80 rows apart differ from
+# 160 rows at once).
+TINY_BITS = pytest.mark.xfail(
+    strict=False, reason="small-matrix GEMMs of the tiny preset's backward "
+    "are not row-split exact in OpenBLAS")
+
+
+@pytest.mark.parametrize("n", [32, 48, 64, 65])
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=TINY_BITS) if name.startswith("tiny") else name
+    for name in SHARD_CASES])
+def test_sharded_train_step_has_the_whole_steps_bits(name, n, monkeypatch):
+    # Each parameter's gradient is summed once over the whole batch's rows,
+    # so 2, 3 and 4 shards give the bits of the whole step at one BLAS
+    # thread: the loss, the logits, every gradient and, after three AdamW
+    # steps, every parameter.
+    get, set_ = _blas_at_one_thread()
+    _, schedule, split = shard_case(name, n)
+    images, labels = split.images, split.labels
+    saved = get()
+    try:
+        set_(1)
+        monkeypatch.setattr(trainer, "_cpus", lambda: 1)
+        model = shard_case(name, n)[0]
+        whole = _three_steps(model, schedule, images, labels)
+        whole_params = {k: p.data.copy() for k, p in model.params.items()}
+    finally:
+        set_(saved)
+    for cpus in (2, 3, 4):
+        monkeypatch.setattr(trainer, "_cpus", lambda: cpus)
+        model = shard_case(name, n)[0]
+        loss, logits, grads = _three_steps(model, schedule, images, labels)
+        assert loss == whole[0], cpus
+        assert np.array_equal(logits, whole[1]), cpus
+        for key, grad in grads.items():
+            assert np.array_equal(grad, whole[2][key]), (cpus, key)
+        for key, p in model.params.items():
+            assert np.array_equal(p.data, whole_params[key]), (cpus, key)
+
+
+def test_a_train_step_runs_as_aligned_shards(monkeypatch):
+    _blas_at_one_thread()
+    model, schedule, split = shard_case("desk_skip", 65)
+    monkeypatch.setattr(trainer, "_cpus", lambda: 4)
+    calls = []
+
+    def forward(images, *args, **kwargs):
+        calls.append(len(images))
+        return ViT.forward(model, images, *args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", forward)
+    for n, shards in {65: [16, 16, 16, 17], 48: [16, 16, 16], 31: [31]}.items():
+        calls.clear()
+        trainer._train_step(model, schedule, AdamW(model.params),
+                            split.images[:n], split.labels[:n], PAST_WARMUP,
+                            0, 1e-3)
+        assert sorted(calls) == shards, n
+
+
+def _fail_in_one_shard(model, batch, where, start, monkeypatch):
+    """Make the forward of the shard of ``batch`` that starts at sample
+    ``start`` raise, or a closure in the middle of its graph raise in
+    backward; return the injected error."""
+    error = RuntimeError(f"injected {where} fault")
+
+    def forward(images, *args, **kwargs):
+        ours = images.ctypes.data == batch[start:].ctypes.data
+        if ours and where == "forward":
+            raise error
+        logits, diag = ViT.forward(model, images, *args, **kwargs)
+        if ours:
+            def boom(g):
+                raise error
+
+            nodes = T.ComputeTape(logits).nodes
+            nodes[len(nodes) // 2].backward_fn = boom
+        return logits, diag
+
+    monkeypatch.setattr(model, "forward", forward)
+    return error
+
+
+# Three shards of 64 samples: 16, 16 and 32, the first on the calling thread.
+@pytest.mark.parametrize("start", [0, 32], ids=["first", "last"])
+@pytest.mark.parametrize("where", ["forward", "backward"])
+def test_a_failed_shard_fails_the_step_and_changes_nothing(where, start,
+                                                            monkeypatch):
+    _blas_at_one_thread()
+    model, schedule, split = shard_case("desk_skip", 64)
+    opt = AdamW(model.params)
+    monkeypatch.setattr(trainer, "_cpus", lambda: 3)
+    trainer._train_step(model, schedule, opt, split.images, split.labels,
+                        PAST_WARMUP, 0, 1e-3)
+    before = [{k: a.copy() for k, a in state.items()}
+              for state in ({k: p.data for k, p in model.params.items()},
+                            opt.state.m, opt.state.v)]
+    error = _fail_in_one_shard(model, split.images, where, start, monkeypatch)
+    raised = []
+
+    def step():
+        try:
+            trainer._train_step(model, schedule, opt, split.images,
+                                split.labels, PAST_WARMUP, 1, 1e-3)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=step)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "a shard is still blocked"
+    assert len(raised) == 1 and error in (raised[0], raised[0].__cause__)
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("tokenskip-shard")]
+    after = ({k: p.data for k, p in model.params.items()}, opt.state.m,
+             opt.state.v)
+    for old, new in zip(before, after):
+        for key, array in old.items():
+            assert np.array_equal(new[key], array), key
+    assert opt.state.step == 1
+
+
 class TestBenchmark:
     def test_returns_positive_rate(self):
         model = ViT(TINY, seed=0)
@@ -436,8 +583,9 @@ def test_steady_steps_fault_no_pages_in():
     assert train < 200, f"{train} minor faults per train call"
 
 
-# Fresh process: train desk skip 0.55@3->5 for one epoch into argv[1], then
-# print the OpenBLAS thread count it ran with ("unknown" where unreadable).
+# Fresh process: train desk skip 0.55@3->5 for one epoch at batch argv[2]
+# into argv[1], then print the OpenBLAS thread count it ran with ("unknown"
+# where unreadable).
 _BLAS_PROBE = textwrap.dedent("""
     import ctypes, glob, os, sys
     import numpy as np
@@ -448,8 +596,8 @@ _BLAS_PROBE = textwrap.dedent("""
         "model.preset": "desk", "schedule.mode": "skip",
         "schedule.drop_layers": "3", "schedule.drop_ratios": "0.55",
         "schedule.skip_target": "5", "dataset.train_n": "256",
-        "dataset.val_n": "64", "train.epochs": "1", "train.batch_size": "32",
-        "seed": "7"})
+        "dataset.val_n": "64", "train.epochs": "1",
+        "train.batch_size": sys.argv[2], "seed": "7"})
     train_split, val_split = cli._load_data(cfg)
     model = ViT(cfg.model, seed=cfg.seed)
     trainer.train(model, cfg.schedule, cfg.train, train_split, val_split,
@@ -471,25 +619,31 @@ _BLAS_PROBE = textwrap.dedent("""
 """)
 
 
+# Batch 32 runs as two shards on two CPUs and whole on one; whole, its
+# bytes do not depend on the thread count either. Batch 48 run whole does
+# (32 of the 104 parameter gradients differ in their last bits), so it is
+# promised only where it runs as shards.
 def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     src = str(Path(trainer.__file__).resolve().parents[1])
-    outputs = {}
-    for threads in (1, 2):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = tmp_path / f"threads{threads}"
-        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(out)],
-                              env=env, capture_output=True, text=True,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        ran_with = proc.stdout.split()[-1]
-        if ran_with == "unknown":
-            pytest.skip("the OpenBLAS thread count cannot be read")
-        assert int(ran_with) == threads
-        outputs[threads] = [(out / name).read_bytes()
-                            for name in (trainer.METRICS_FILE, "model.ckpt")]
-    assert outputs[1] == outputs[2]
+    batches = [32, 48] if trainer._cpus() >= 2 else [32]
+    for batch in batches:
+        outputs = {}
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            out = tmp_path / f"batch{batch}-threads{threads}"
+            proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE,
+                                   str(out), str(batch)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            ran_with = proc.stdout.split()[-1]
+            if ran_with == "unknown":
+                pytest.skip("the OpenBLAS thread count cannot be read")
+            assert int(ran_with) == threads
+            outputs[threads] = [(out / name).read_bytes()
+                                for name in (trainer.METRICS_FILE, "model.ckpt")]
+        assert outputs[1] == outputs[2], batch
 
 
 class _FakeLibc:
@@ -506,14 +660,17 @@ class _FakeLibc:
 def test_keep_heap_sets_the_trim_threshold_only_after_the_mmap_threshold():
     # A 32-bit glibc rejects a 32 MiB mmap threshold; setting the trim
     # threshold alone would freeze the dynamic mmap threshold at 128 KiB.
+    # The one-arena setting stands apart from both.
     mmap_32m = (trainer._M_MMAP_THRESHOLD, 32 << 20)
-    for accepts, calls in (({mmap_32m}, 2), (set(), 1)):
+    trim_1g = (trainer._M_TRIM_THRESHOLD, 1 << 30)
+    one_arena = (trainer._M_ARENA_MAX, 1)
+    for accepts, calls in (({mmap_32m}, [mmap_32m, trim_1g, one_arena]),
+                           (set(), [mmap_32m, one_arena])):
         libc = _FakeLibc(accepts)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trainer.ctypes, "CDLL", lambda name: libc)
             trainer._keep_heap()
-        assert libc.calls[0] == mmap_32m
-        assert len(libc.calls) == calls
+        assert libc.calls == calls
 
 
 @pytest.mark.parametrize("error", [OSError, TypeError])
