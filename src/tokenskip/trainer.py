@@ -33,6 +33,9 @@ _M_ARENA_MAX = -8
 _BENCHMARK_PAIRS = 14  # timed dense/schedule pairs
 
 _SHARD_SAMPLES = 16  # shards start at multiples of this (see _shards)
+# OpenBLAS's small-matrix GEMM kernels (SkylakeX sgemm, for one) take
+# products of up to this many multiply-adds (see _shards).
+_SMALL_GEMM_MACS = 100 ** 3
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy ships with.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -192,7 +195,7 @@ def _own_code() -> bool:
 
 
 @contextmanager
-def _shards(samples: int):
+def _shards(samples: int, row_macs: Optional[int] = None):
     """The row slices a batch of ``samples`` runs as: contiguous shards run
     at once, at most one per CPU (``_each``), with OpenBLAS held at one
     thread until the block exits.
@@ -205,29 +208,49 @@ def _shards(samples: int):
     block as in the whole batch, and each row's results are the whole
     batch's bit for bit. Unaligned shards need not be: 13-sample shards
     change a 7-class head's logits, and a 1-sample shard takes the
-    matrix-vector path. Nor need the small products that OpenBLAS gives a
-    kernel of their own: on a SkylakeX core the tiny preset's FFN input
-    gradient, 80 rows of (rows, 32) @ (32, 8)ᵀ, differs from 160 rows at
-    once, so its train steps differ from whole ones in their last bits. A batch below two aligned shards, or one run
-    without OpenBLAS thread controls or with a function of the step's path
-    replaced from outside (``_own_code``), runs whole: one slice, with the
-    thread count left alone. One BLAS thread per call keeps concurrent calls
-    from queueing for OpenBLAS's one shared thread pool.
+    matrix-vector path. Nor need products of up to _SMALL_GEMM_MACS
+    multiply-adds, which OpenBLAS may give a small-matrix kernel: on a
+    SkylakeX core, 80 rows of (rows, 32) @ (32, 8)ᵀ differ from the same
+    rows of a 160-row product, while no aligned row split of a larger
+    product has been seen to. So given ``row_macs``, the multiply-adds per
+    sample of the smallest product whose rows the shards split, the batch
+    runs whole unless that product of every shard is above the bound.
+
+    A batch below two aligned shards, or one run without OpenBLAS thread
+    controls or with a function of the step's path replaced from outside
+    (``_own_code``), also runs whole: one slice, with the thread count left
+    alone. One BLAS thread per call keeps concurrent calls from queueing
+    for OpenBLAS's one shared thread pool.
     """
     units = samples // _SHARD_SAMPLES
     controls = _openblas_threads() if _own_code() else None
     k = min(_cpus(), units) if controls is not None else 1
-    if k <= 1:
+    bounds = [_SHARD_SAMPLES * (units * i // k) for i in range(1, k)]
+    parts = [slice(lo, hi) for lo, hi in zip([0] + bounds, bounds + [samples])]
+    smallest = min(part.stop - part.start for part in parts)
+    if k <= 1 or (row_macs is not None
+                  and smallest * row_macs <= _SMALL_GEMM_MACS):
         yield [slice(0, samples)]
         return
-    bounds = [0] + [_SHARD_SAMPLES * (units * i // k) for i in range(1, k)]
     get, set_ = controls
     saved = get()
     set_(1)
     try:
-        yield [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:] + [samples])]
+        yield parts
     finally:
         set_(saved)
+
+
+def _row_macs(model: ViT, schedule: DropSchedule, epoch: int) -> int:
+    """Multiply-adds per sample of the smallest product whose rows a train
+    step's shards split: the patch projection, or a weight product at the
+    layer with the fewest live tokens. Attention's products are per sample,
+    and the head runs on the whole batch (``_train_step``)."""
+    c = model.config
+    d = c.embed_dim
+    fewest = min(min(p.attn_tokens, p.ffn_tokens)
+                 for p in tokendrop.plan(schedule, c, epoch))
+    return min(c.num_patches * CHANNELS * c.patch_size ** 2, fewest * d) * d
 
 
 def _each(fn, items: list) -> list:
@@ -250,7 +273,9 @@ def _each(fn, items: list) -> list:
 def _eval_logits(model: ViT, images: np.ndarray, schedule: DropSchedule,
                  epoch: int) -> np.ndarray:
     """Logits of one batch (call under no_grad), run as ``_shards``: the
-    concatenated logits are one forward's."""
+    concatenated logits are one forward's in the shapes the tests run. No
+    product bound applies, so a small model's need not be: the tiny
+    preset's differ in their last bits at batch 1280."""
     with _shards(len(images)) as parts:
         logits = _each(lambda part: model.forward(images[part], schedule,
                                                   epoch=epoch)[0].data, parts)
@@ -271,22 +296,30 @@ def _train_step(model: ViT, schedule: DropSchedule, opt: AdamW,
                 lr: float):
     """Forward, loss, backward and AdamW update; returns (loss, logits, diag).
 
-    The batch runs as ``_shards``, each with its own graph. The loss is
-    taken once, on the concatenated logits, and each shard walks its graph
+    The batch runs as ``_shards``, bounded by ``_row_macs``. Each shard
+    encodes its rows with a graph of its own. The head and the loss run
+    once, on the concatenated CLS embeddings, and each shard walks its graph
     from its rows of their gradient, the parameter sums running once over
     the whole batch (``tensor.ShardSums``). So the step has the bits of the
     whole batch at one BLAS thread wherever its rows do (see ``_shards``).
     If a shard raises, the step raises once every shard has stopped, before
     the update.
     """
-    with _shards(len(images)) as parts:
-        outs = _each(lambda part: model.forward(images[part], schedule,
-                                                epoch=epoch), parts)
+    with _shards(len(images), _row_macs(model, schedule, epoch)) as parts:
         if len(parts) == 1:
-            logits = outs[0][0]
+            logits, diag = model.forward(images, schedule, epoch=epoch)
         else:
-            logits = T.Tensor(np.concatenate([out.data for out, _ in outs]),
+            def encode(part):
+                # Only the CLS rows outlive the call, as in ViT.forward.
+                tokens, diag = model.encode(images[part], schedule,
+                                            epoch=epoch)
+                return vit.cls_embeddings(tokens), diag
+
+            cls, diags = zip(*_each(encode, parts))
+            diag = diags[0]
+            joined = T.Tensor(np.concatenate([c.data for c in cls]),
                               requires_grad=True)
+            logits = model.head(joined)
         loss = T.cross_entropy(logits, labels)
         if not np.isfinite(loss.data):
             raise RuntimeError(f"non-finite loss {float(loss.data)} at "
@@ -295,12 +328,12 @@ def _train_step(model: ViT, schedule: DropSchedule, opt: AdamW,
         loss.backward()
         if len(parts) > 1:
             sums = T.ShardSums(len(parts))
-            _each(lambda i: sums.backward(outs[i][0], logits.grad[parts[i]], i),
+            _each(lambda i: sums.backward(cls[i], joined.grad[parts[i]], i),
                   list(range(len(parts))))
     opt.step(lr)
     # backward freed each activation as it passed it; a float and an array
     # hold no node, so the spent graph's nodes go on return.
-    return float(loss.data), logits.data, outs[0][1]
+    return float(loss.data), logits.data, diag
 
 
 def check_inputs(model: ViT, schedule: DropSchedule, cfg: TrainConfig,

@@ -98,6 +98,13 @@ def param_table(config: ModelConfig) -> dict:
             "head.w": ((d, c.num_classes), None), "head.b": ((c.num_classes,), 0.0)}
 
 
+def cls_embeddings(tokens: TokenBatch) -> Tensor:
+    """The CLS token's embeddings [batch, dim]."""
+    b, _, d = tokens.embeddings.shape
+    cls = T.gather_rows(tokens.embeddings, np.zeros((b, 1), dtype=np.int64))
+    return T.reshape(cls, (b, d))
+
+
 class ViT:
     """ViT backbone with learned patch projection, CLS token and positional embeddings."""
 
@@ -182,16 +189,18 @@ class ViT:
 
     def classify(self, tokens: TokenBatch) -> Tensor:
         """Final layernorm on the CLS embedding, then the linear head."""
-        b = tokens.embeddings.shape[0]
-        d = self.config.embed_dim
-        cls = T.gather_rows(tokens.embeddings, np.zeros((b, 1), dtype=np.int64))
-        cls = T.reshape(cls, (b, d))
+        return self.head(cls_embeddings(tokens))
+
+    def head(self, cls: Tensor) -> Tensor:
+        """``classify`` of the CLS embeddings [batch, dim] themselves."""
         h = T.layernorm(cls, self.params["ln_f.g"], self.params["ln_f.b"])
         return T.matmul(h, self.params["head.w"], self.params["head.b"])
 
-    def forward(self, images, schedule=DropSchedule(), epoch: int = PAST_WARMUP):
-        """Full forward pass executing ``tokendrop.plan``, so a schedule that
-        ``validate`` rejects cannot run; dense before warm-up (by default past)."""
+    def encode(self, images, schedule=DropSchedule(), epoch: int = PAST_WARMUP):
+        """The blocks of the forward pass, executing ``tokendrop.plan``;
+        returns the last block's tokens and the diagnostics. A schedule that
+        ``validate`` rejects cannot run; dense before warm-up (by default
+        past)."""
         steps = tokendrop.plan(schedule, self.config, epoch)
         stash = []  # (cut-from embeddings, live rows) awaiting reinsertion
         diag = ForwardDiagnostics()
@@ -211,5 +220,10 @@ class ViT:
                 else:
                     tokens = tokendrop.split(tokens, keep, drop, stash)
             tokens = self.ffn_block(tokens, layer)
-        logits = self.classify(tokens)
-        return logits, diag
+        return tokens, diag
+
+    def forward(self, images, schedule=DropSchedule(), epoch: int = PAST_WARMUP):
+        """Full forward pass: ``encode``, then ``classify``; returns the
+        logits and the diagnostics."""
+        tokens, diag = self.encode(images, schedule, epoch)
+        return self.classify(tokens), diag

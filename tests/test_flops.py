@@ -100,7 +100,16 @@ def test_a_train_step_counts_only_its_forward(name, sharded, monkeypatch):
     rng = np.random.default_rng(0)
     size = config.image_size
     images = rng.normal(size=(batch, 3, size, size)).astype(np.float32)
+    encodes = []
+
+    def encode(images, *args, **kwargs):
+        encodes.append(len(images))
+        return ViT.encode(model, images, *args, **kwargs)
+
+    monkeypatch.setattr(model, "encode", encode)
     with count_macs() as counter:
         trainer._train_step(model, schedule, AdamW(model.params), images,
                             np.arange(batch) % config.num_classes, 0, 0, 1e-3)
     assert counter.total == batch * estimate_flops(config, schedule).schedule_total
+    if trainer._openblas_threads() is not None:
+        assert encodes == ([16, 16] if sharded else [batch])

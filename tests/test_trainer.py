@@ -372,61 +372,62 @@ def _three_steps(model, schedule, images, labels):
     return first
 
 
+def _encodes(model, monkeypatch):
+    """The batch sizes ``model.encode`` is called with from now on; a whole
+    step's forward encodes its batch in one call."""
+    calls = []
+
+    def encode(images, *args, **kwargs):
+        calls.append(len(images))
+        return ViT.encode(model, images, *args, **kwargs)
+
+    monkeypatch.setattr(model, "encode", encode)
+    return calls
+
+
 # The eval shard cases; desk fuse has no drop-after-FFN variant, since
-# schedule.drop_after_ffn is not a key (tests/test_cli.py). The tiny
-# preset's do not hold: its FFN input gradient, (rows, 32) @ (32, 8)ᵀ, is
-# small enough for OpenBLAS's SkylakeX small-matrix kernel, which does not
-# give a shard's rows the whole batch's bits (80 rows apart differ from
-# 160 rows at once).
-TINY_BITS = pytest.mark.xfail(
-    strict=False, reason="small-matrix GEMMs of the tiny preset's backward "
-    "are not row-split exact in OpenBLAS")
-
-
-@pytest.mark.parametrize("n", [32, 48, 64, 65])
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=TINY_BITS) if name.startswith("tiny") else name
-    for name in SHARD_CASES])
+# schedule.drop_after_ffn is not a key (tests/test_cli.py). Steps whose
+# products are too small to shard (``_shards``) run whole and hold
+# trivially: the tiny preset's always, the odd shape's below 40 or 49
+# samples a shard, so it also runs at 192 (2 and 3 shards, and 4 for fuse).
+@pytest.mark.parametrize("name,n", [
+    (name, n) for name in SHARD_CASES for n in (32, 48, 64, 65)]
+    + [("odd_skip", 192), ("odd_fuse", 192)])
 def test_sharded_train_step_has_the_whole_steps_bits(name, n, monkeypatch):
     # Each parameter's gradient is summed once over the whole batch's rows,
-    # so 2, 3 and 4 shards give the bits of the whole step at one BLAS
-    # thread: the loss, the logits, every gradient and, after three AdamW
-    # steps, every parameter.
+    # so at one BLAS thread 2, 3 and 4 shards give the bits of the whole
+    # step: the loss, the logits, every gradient and, after three AdamW
+    # steps, every parameter. (A step that runs whole keeps the thread
+    # count it is given, and its bits may depend on it.)
     get, set_ = _blas_at_one_thread()
     _, schedule, split = shard_case(name, n)
     images, labels = split.images, split.labels
+    runs = {}
     saved = get()
     try:
         set_(1)
-        monkeypatch.setattr(trainer, "_cpus", lambda: 1)
-        model = shard_case(name, n)[0]
-        whole = _three_steps(model, schedule, images, labels)
-        whole_params = {k: p.data.copy() for k, p in model.params.items()}
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(trainer, "_cpus", lambda: cpus)
+            model = shard_case(name, n)[0]
+            runs[cpus] = (*_three_steps(model, schedule, images, labels),
+                          {k: p.data for k, p in model.params.items()})
     finally:
         set_(saved)
-    for cpus in (2, 3, 4):
-        monkeypatch.setattr(trainer, "_cpus", lambda: cpus)
-        model = shard_case(name, n)[0]
-        loss, logits, grads = _three_steps(model, schedule, images, labels)
-        assert loss == whole[0], cpus
-        assert np.array_equal(logits, whole[1]), cpus
+    loss, logits, grads, params = runs.pop(1)
+    for cpus, run in runs.items():
+        assert run[0] == loss, cpus
+        assert np.array_equal(run[1], logits), cpus
         for key, grad in grads.items():
-            assert np.array_equal(grad, whole[2][key]), (cpus, key)
-        for key, p in model.params.items():
-            assert np.array_equal(p.data, whole_params[key]), (cpus, key)
+            assert np.array_equal(run[2][key], grad), (cpus, key)
+        for key, param in params.items():
+            assert np.array_equal(run[3][key], param), (cpus, key)
 
 
 def test_a_train_step_runs_as_aligned_shards(monkeypatch):
     _blas_at_one_thread()
     model, schedule, split = shard_case("desk_skip", 65)
     monkeypatch.setattr(trainer, "_cpus", lambda: 4)
-    calls = []
-
-    def forward(images, *args, **kwargs):
-        calls.append(len(images))
-        return ViT.forward(model, images, *args, **kwargs)
-
-    monkeypatch.setattr(model, "forward", forward)
+    calls = _encodes(model, monkeypatch)
     for n, shards in {65: [16, 16, 16, 17], 48: [16, 16, 16], 31: [31]}.items():
         calls.clear()
         trainer._train_step(model, schedule, AdamW(model.params),
@@ -435,26 +436,48 @@ def test_a_train_step_runs_as_aligned_shards(monkeypatch):
         assert sorted(calls) == shards, n
 
 
+# A shard runs only if its smallest row-split product, shard samples times
+# ``_row_macs``, is above the small-matrix bound: 393216 MACs a sample at
+# desk (its patch projection), 320 for tiny, 20736 for odd skip.
+@pytest.mark.parametrize("name,n,cpus,shards", [
+    ("desk_dense", 32, 2, [16, 16]),
+    ("tiny_dense", 64, 4, [64]),
+    ("tiny3_fuse", 65, 4, [65]),
+    ("odd_skip", 64, 2, [64]),
+    ("odd_skip", 130, 2, [64, 66]),
+    ("odd_skip", 130, 3, [130]),
+])
+def test_a_train_step_shards_only_products_above_the_small_gemm_bound(
+        name, n, cpus, shards, monkeypatch):
+    _blas_at_one_thread()
+    model, schedule, split = shard_case(name, n)
+    monkeypatch.setattr(trainer, "_cpus", lambda: cpus)
+    calls = _encodes(model, monkeypatch)
+    trainer._train_step(model, schedule, AdamW(model.params), split.images,
+                        split.labels, PAST_WARMUP, 0, 1e-3)
+    assert sorted(calls) == shards
+
+
 def _fail_in_one_shard(model, batch, where, start, monkeypatch):
-    """Make the forward of the shard of ``batch`` that starts at sample
+    """Make the encode of the shard of ``batch`` that starts at sample
     ``start`` raise, or a closure in the middle of its graph raise in
     backward; return the injected error."""
     error = RuntimeError(f"injected {where} fault")
 
-    def forward(images, *args, **kwargs):
+    def encode(images, *args, **kwargs):
         ours = images.ctypes.data == batch[start:].ctypes.data
         if ours and where == "forward":
             raise error
-        logits, diag = ViT.forward(model, images, *args, **kwargs)
+        tokens, diag = ViT.encode(model, images, *args, **kwargs)
         if ours:
             def boom(g):
                 raise error
 
-            nodes = T.ComputeTape(logits).nodes
+            nodes = T.ComputeTape(tokens.embeddings).nodes
             nodes[len(nodes) // 2].backward_fn = boom
-        return logits, diag
+        return tokens, diag
 
-    monkeypatch.setattr(model, "forward", forward)
+    monkeypatch.setattr(model, "encode", encode)
     return error
 
 
