@@ -31,7 +31,15 @@ class AdamW:
             self.state.v[name] = np.zeros_like(p.data)
 
     def step(self, lr: float) -> None:
-        """One decoupled-weight-decay update at ``lr`` over all parameters."""
+        """One decoupled-weight-decay update at ``lr`` over all parameters.
+
+        Raises FloatingPointError, before it changes any parameter, moment
+        or the step count, if a gradient holds a non-finite value.
+        """
+        for name, p in self.params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise FloatingPointError(
+                    f"non-finite gradient in parameter {name!r}")
         s = self.state
         s.step += 1
         b1, b2 = BETAS
@@ -41,9 +49,6 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise FloatingPointError(
-                    f"non-finite gradient in parameter {name!r}")
             # In place, with the roundings of
             #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
             #   p -= lr * (m / c1 / (sqrt(v / c2) + eps) + wd * p)

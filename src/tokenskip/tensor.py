@@ -14,24 +14,28 @@ requires grad owns a node with its shape, dtype, gradient, parent nodes and
 backward closure. A closure keeps its parents' nodes and only the arrays its
 backward reads: matmul the operand that the other's gradient needs (its
 remake, if it carries one), softmax its output, layernorm ``xhat``, ``inv``,
-the gain and the bias, gelu its local derivative, cross-entropy the logits,
-mul and div their operands. add, scale, the views, sums, ``repeat_batch``,
-``concat`` and the row ops keep shapes and indices only, so an output that
-backward never reads is freed when the forward code drops it.
+the gain and the bias, gelu its input (it rebuilds its local derivative in
+backward), cross-entropy the logits, mul and div their operands. add,
+scale, the views, sums, ``repeat_batch``, ``concat`` and the row ops keep
+shapes and indices only, so an output that backward never reads is freed
+when the forward code drops it.
 
 Remakes. Some outputs are kept by no closure: backward remakes them. A
 recording layernorm's output carries a remake (see ``_Remake``) that makes
-``xhat * gain + bias`` again by the forward's own ops. So does the output of
-a matmul, reshape, permute, transpose or scale that records with an operand
-carrying one: the op's own function run again on the operands' remakes and
-the other operands' arrays, which the op's closure keeps already (``scores @
-v`` reads the scores that softmax keeps). Attention's q, k and v projections
-and its context are remade this way, each once per backward, by the first
-closure that reads it; an op's closure drops its output's remade array, since
-every reader has run by then. A remake reads the weights and biases of the
-matmuls and the layernorm's gain and bias, so none of them may be written
-between a forward and its backward (the optimizer writes them after). A
-remake's matmul reports no MACs, and under ``no_grad`` nothing carries one.
+``xhat * gain + bias`` again by the forward's own ops, and a recording
+gelu's output one that runs the forward again on the input its closure
+keeps. So does the output of a matmul, reshape, permute, transpose or scale
+that records with an operand carrying one: the op's own function run again
+on the operands' remakes and the other operands' arrays, which the op's
+closure keeps already (``scores @ v`` reads the scores that softmax keeps).
+Attention's q, k and v projections and its context, and the FFN's GELU
+output that ``ffn.w2``'s weight sum reads, are remade this way, each once
+per backward, by the first closure that reads it; an op's closure drops its
+output's remade array, since every reader has run by then. A remake reads
+the weights and biases of the matmuls, the layernorm's gain and bias and
+gelu's input, so none of them may be written between a forward and its
+backward (the optimizer writes them after). A remake's matmul reports no
+MACs, and under ``no_grad`` nothing carries one.
 
 Gradients. Closures hand gradients to ``_accumulate`` as they are (fresh
 arrays, views, read-only broadcasts), and two rules, one for every node, make
@@ -52,12 +56,12 @@ it. A graph is single-use: a ``backward`` whose graph reaches a spent node
 raises ``RuntimeError`` before it changes any gradient.
 
 Shards. A train step may run its batch as shards, each building its own
-graph and walking it on its own thread (``ShardSums``). The four sites that
+graph and walking it on its own thread (``ShardSums``). The closures that
 sum a parameter's gradient over the batch's rows (matmul's weight and bias,
 layernorm's gain and bias, add's broadcast, ``repeat_batch``) go through
-``_batch_sum``, which in a shard's walk hands the rows over so that the sum
-runs once, over the whole batch; ``_accumulate`` refuses a parameter any
-other gradient there.
+``_batch_sum``, which in a shard's walk hands the rows over, once per
+closure, so that the sums run once, over the whole batch; ``_accumulate``
+refuses a parameter any other gradient there.
 """
 
 from __future__ import annotations
@@ -250,33 +254,36 @@ class ShardSums:
 
     Each shard builds its own graph from a contiguous block of the batch and
     walks it with ``backward`` on its own thread. Every parameter gradient
-    is a sum over the batch's rows, made at four sites: matmul's ``Xᵀ·G``
-    and its bias, layernorm's gain and bias, add's broadcast (``pos``) and
-    ``repeat_batch`` (``cls``). In a shard's walk these sites hand over
-    their unreduced rows instead (``_batch_sum``), and each site's sum runs
-    once, on all shards' rows concatenated in batch order and in the memory
-    order the shards' operands share, which is the whole batch's operand's.
-    So every parameter gradient has the bits of the whole batch's backward
-    wherever each row's own ops do (see ``trainer._shards``).
+    is a sum over the batch's rows, made by four kinds of closure, the
+    sites: matmul's (``Xᵀ·G`` and its bias), layernorm's (gain and bias),
+    add's broadcast (``pos``) and ``repeat_batch``'s (``cls``). In a
+    shard's walk a site hands over its unreduced rows instead, once for all
+    of its sums (``_batch_sum``), and the site's sums run once, on all
+    shards' rows concatenated in batch order and in the memory order the
+    shards' operands share, which is the whole batch's operand's. So every
+    parameter gradient has the bits of the whole batch's backward wherever
+    each row's own ops do (see ``trainer._shards``).
 
     The sums of a parameter run on the shard that handed over its rows
     first, in site order, once every shard has handed over: at that shard's
     next site, or after its walk, which waits for them. So no shard waits
     for another during its walk, and the sums fall on the shards that run
-    ahead. Shards walk the same graph shape, so they reach the sites in the
-    same order. A shard whose walk raises stops the others at their next
-    site or their wait. Any other route of a gradient into a parameter
-    during a shard's walk raises: its sum would be the shard's own.
+    ahead. A site's sums whose parameters share that shard, as a matmul's
+    weight and bias do, run together on one concatenation of the rows.
+    Shards walk the same graph shape, so they reach the sites in the same
+    order. A shard whose walk raises stops the others at their next site or
+    their wait. Any other route of a gradient into a parameter during a
+    shard's walk raises: its sum would be the shard's own.
     """
 
     def __init__(self, shards: int):
         self.shards = shards
         self._cond = threading.Condition()
         self._sites = [0] * shards  # sites each shard has reached
-        self._slots: dict = {}      # site -> [node, owner, rows by shard]
+        self._slots: dict = {}      # site -> [nodes, sums by owner, rows by shard]
         self._owner: dict = {}      # node -> shard that runs its sums
-        self._ready = [[] for _ in range(shards)]  # owner's (node, total, rows)
-        self._owed = [0] * shards   # sums each owner has yet to run
+        self._ready = [[] for _ in range(shards)]  # owner's (sums, rows)
+        self._owed = [0] * shards   # ready entries each owner has yet to run
         self._failed: Optional[BaseException] = None
 
     def backward(self, root: Tensor, grad: np.ndarray, index: int) -> None:
@@ -295,22 +302,30 @@ class ShardSums:
         finally:
             _SHARD.sums = None
 
-    def _hand_over(self, index: int, node: _Node, total, rows: tuple) -> None:
+    def _hand_over(self, index: int, sums: tuple, rows: tuple) -> None:
+        """Hand over shard ``index``'s rows for a site's ``(node, total)``
+        sums, each to take ``total`` of the whole batch's rows."""
+        nodes = [node for node, _ in sums]
         with self._cond:
             self._check()
             site = self._sites[index]
             self._sites[index] += 1
             if site not in self._slots:
-                owner = self._owner.setdefault(node, index)
-                self._slots[site] = [node, owner, [None] * self.shards]
-                self._owed[owner] += 1
-            slot_node, owner, parts = self._slots[site]
-            if slot_node is not node:
+                owned: dict = {}  # owner -> its (node, total) sums
+                for node, total in sums:
+                    owner = self._owner.setdefault(node, index)
+                    owned.setdefault(owner, []).append((node, total))
+                for owner in owned:
+                    self._owed[owner] += 1
+                self._slots[site] = [nodes, owned, [None] * self.shards]
+            slot_nodes, owned, parts = self._slots[site]
+            if slot_nodes != nodes:
                 raise RuntimeError("shards reached different parameter sums")
             parts[index] = rows
             if None not in parts:
                 del self._slots[site]
-                self._ready[owner].append((node, total, parts))
+                for owner, owner_sums in owned.items():
+                    self._ready[owner].append((owner_sums, parts))
                 self._cond.notify_all()
         self._run_ready(index, wait=False)
 
@@ -324,10 +339,12 @@ class ShardSums:
                         return
                     self._cond.wait()
                 self._check()
-                node, total, parts = self._ready[index].pop(0)
+                sums, parts = self._ready[index].pop(0)
                 self._owed[index] -= 1
             # np.concatenate keeps the stride order its operands share.
-            _add(node, total(*(np.concatenate(rows) for rows in zip(*parts))))
+            rows = [np.concatenate(shard_rows) for shard_rows in zip(*parts)]
+            for node, total in sums:
+                _add(node, total(*rows))
 
     def _check(self) -> None:
         if self._failed is not None:
@@ -355,20 +372,26 @@ def _accumulate(node: Optional[_Node], g: np.ndarray) -> None:
     _add(node, g)
 
 
-def _batch_sum(node: Optional[_Node], total: Callable[..., np.ndarray],
-               *rows: np.ndarray) -> None:
-    """Accumulate ``total(*rows)``, a sum over the batch, the leading axis of
-    every operand in ``rows``, into node. In a shard's backward a parameter
-    takes it once for the whole batch instead (see ``ShardSums``), so no
-    operand may be written once handed here."""
-    sums = getattr(_SHARD, "sums", None)
-    if sums is not None and node is not None and node.backward_fn is None:
-        sums._hand_over(_SHARD.index, node, total, rows)
-    else:
+def _batch_sum(rows: tuple, *sums) -> None:
+    """For each ``(node, total)`` of sums, accumulate ``total(*rows)``, a sum
+    over the batch, the leading axis of every operand in ``rows``, into node.
+
+    In a shard's backward the parameters among the nodes take theirs once
+    for the whole batch instead (see ``ShardSums``), from one hand-over of
+    the rows for all of them, so no operand may be written once handed here.
+    """
+    sums = [(node, total) for node, total in sums if node is not None]
+    shard = getattr(_SHARD, "sums", None)
+    if shard is not None:
+        params = tuple(s for s in sums if s[0].backward_fn is None)
+        if params:
+            shard._hand_over(_SHARD.index, params, rows)
+        sums = [s for s in sums if s[0].backward_fn is not None]
+    for node, total in sums:
         _accumulate(node, total(*rows))
 
 
-def _as_is(g: np.ndarray) -> np.ndarray:
+def _as_is(g: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     return g
 
 
@@ -489,32 +512,36 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     remake = _carry(product, a, b)
 
     def backward(g):
-        if flat:
-            g2 = g.reshape(-1, n)
-            if na is not None:
-                _accumulate(na, (g2 @ b_kept().T).reshape(na.shape))
-            if nb is not None:
-                _batch_sum(nb, _weight_sum, a_kept().reshape(-1, k), g2)
+        # The weight's sum first: a remade operand is then made before a's
+        # gradient, not beside it.
+        if flat and nb is not None:
+            # One hand-over of g's rows for the weight and the bias.
+            _batch_sum((g, a_kept().reshape(-1, k)),
+                       (nb, _weight_sum), (nbias, _as_is))
         else:
-            if na is not None:
-                _accumulate(na, np.matmul(g, np.swapaxes(b_kept(), -1, -2)))
             if nb is not None:
                 _accumulate(nb, np.matmul(np.swapaxes(a_kept(), -1, -2), g))
-        _batch_sum(nbias, _as_is, g)
+            _batch_sum((g,), (nbias, _as_is))
+        if na is not None:
+            if flat:
+                gb = (g.reshape(-1, n) @ b_kept().T).reshape(na.shape)
+            else:
+                gb = np.matmul(g, np.swapaxes(b_kept(), -1, -2))
+            _accumulate(na, gb)
 
     return _make(out, (na, nb, nbias), backward, remake)
 
 
-def _weight_sum(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return a.T @ g
+def _weight_sum(g: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """``a2ᵀ·g`` over the rows of the [rows, k] a2 and of g's last axis."""
+    return a2.T @ g.reshape(-1, g.shape[-1])
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     na, nb = a._node, b._node
 
     def backward(g):
-        _batch_sum(na, _as_is, g)
-        _batch_sum(nb, _as_is, g)
+        _batch_sum((g,), (na, _as_is), (nb, _as_is))
 
     return _make(a.data + b.data, (na, nb), backward)
 
@@ -631,7 +658,7 @@ def repeat_batch(t: Tensor, batch: int) -> Tensor:
     node = t._node
 
     def backward(g):
-        _batch_sum(node, _copies_sum, g)
+        _batch_sum((g,), (node, _copies_sum))
 
     return _make(np.repeat(t.data, batch, axis=0), (node,), backward)
 
@@ -693,11 +720,13 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         # unless a shard hands them over.
         lead = tuple(range(g.ndim - 1))
 
-        def lead_sum(rows):
-            return rows.sum(axis=lead)
+        def gain_sum(gxhat, g):
+            return gxhat.sum(axis=lead)
 
-        _batch_sum(ngain, lead_sum, g * xhat)
-        _batch_sum(nbias, lead_sum, g)
+        def bias_sum(gxhat, g):
+            return g.sum(axis=lead)
+
+        _batch_sum((g * xhat, g), (ngain, gain_sum), (nbias, bias_sum))
         gx = g * gain_data
         mean_gx = gx.mean(axis=-1, keepdims=True)
         tmp = gx * xhat
@@ -724,26 +753,51 @@ def _row_blocks(rows: int, width: int, itemsize: int):
 def gelu(t: Tensor) -> Tensor:
     """GELU nonlinearity (tanh approximation).
 
-    The forward walks the [rows, width] view in row blocks whose temporaries
-    stay in L2. When the graph records, each block also writes its local
-    derivative, the one array backward keeps and multiplies by the incoming
-    gradient. Every element gets the same operations, so the bits do not
-    depend on the blocking.
+    The forward computes the output alone. When the graph records, the
+    closure keeps only the input array (not its remake: remaking it would
+    run ``ffn.w1``'s GEMM again), and the output carries a remake, the same
+    forward again, for a reader such as ``ffn.w2``'s weight sum. Backward
+    rebuilds the local derivative block by block from the input and
+    multiplies each block by the incoming gradient, so no full-size
+    derivative is made. So the input must not be written between the
+    forward and its backward.
+    """
+    shape, node = t.shape, t._node
+    width = shape[-1] if shape else 1
+    xr = t.data.reshape(t.data.size // width if width else 0, width)
+
+    def forward():
+        out = np.empty_like(xr)
+        _gelu_rows(xr, out)
+        return out.reshape(shape)
+
+    def backward(g):
+        gx = np.empty_like(xr)
+        _gelu_rows(xr, gx, g.reshape(xr.shape))
+        _accumulate(node, gx.reshape(shape))
+
+    recording = _GRAD_ENABLED and node is not None
+    return _make(forward(), (node,), backward,
+                 _Remake(forward) if recording else None)
+
+
+def _gelu_rows(x: np.ndarray, out: np.ndarray,
+               g: Optional[np.ndarray] = None) -> None:
+    """Write GELU of the [rows, width] array x into out or, given g, its
+    local derivative times g (in out's dtype, as an in-place multiply).
+
+    Walks row blocks whose temporaries stay in L2. Every element gets the
+    same operations, so the bits do not depend on the blocking.
     """
     # Computed in place, operand order aside, as
     #   out   = 0.5 * x * (1 + tanh(C * (x + 0.044715 * x^3)))
     #   local = 0.5 * x * (1 - th^2) * C * (1 + 3 * 0.044715 * x^2)
     #           + 0.5 * (1 + th),  th = tanh(...)
     # with the same roundings.
-    x, node = t.data, t._node
-    width = x.shape[-1] if x.ndim else 1
-    xr = x.reshape(x.size // width if width else 0, width)
-    blocks, block_rows = _row_blocks(xr.shape[0], width, x.dtype.itemsize)
-    out = np.empty_like(xr)
-    deriv = np.empty_like(xr) if _GRAD_ENABLED and node is not None else None
-    x2, th, tmp = np.empty((3, block_rows, width), x.dtype)
+    blocks, block_rows = _row_blocks(x.shape[0], x.shape[1], x.dtype.itemsize)
+    x2, th, tmp = np.empty((3, block_rows, x.shape[1]), x.dtype)
     for rows in blocks:
-        xb, ob = xr[rows], out[rows]
+        xb, ob = x[rows], out[rows]
         x2b, thb, tb = x2[:len(xb)], th[:len(xb)], tmp[:len(xb)]
         np.multiply(xb, xb, out=x2b)
         np.multiply(x2b, xb, out=thb)
@@ -751,27 +805,23 @@ def gelu(t: Tensor) -> Tensor:
         thb += xb
         thb *= _GELU_C
         np.tanh(thb, out=thb)
-        np.multiply(xb, 0.5, out=ob)
-        np.add(thb, 1.0, out=tb)
-        if deriv is not None:
-            local = deriv[rows]
-            np.multiply(thb, thb, out=local)
-            np.subtract(1.0, local, out=local)
-            local *= ob
-            x2b *= 3 * 0.044715
-            x2b += 1.0
-            x2b *= _GELU_C
-            local *= x2b
-            np.multiply(tb, 0.5, out=thb)
-            local += thb
+        if g is None:
+            np.multiply(xb, 0.5, out=ob)
+            np.add(thb, 1.0, out=tb)
+            ob *= tb
+            continue
+        np.multiply(xb, 0.5, out=tb)
+        np.multiply(thb, thb, out=ob)
+        np.subtract(1.0, ob, out=ob)
         ob *= tb
-    deriv = None if deriv is None else deriv.reshape(x.shape)
-
-    def backward(g):
-        # In deriv's dtype, as an in-place multiply would be.
-        _accumulate(node, np.multiply(deriv, g, out=np.empty_like(deriv)))
-
-    return _make(out.reshape(x.shape), (node,), backward)
+        x2b *= 3 * 0.044715
+        x2b += 1.0
+        x2b *= _GELU_C
+        ob *= x2b
+        thb += 1.0
+        thb *= 0.5
+        ob += thb
+        ob *= g[rows]
 
 
 def _row_index(idx, rows: int) -> np.ndarray:

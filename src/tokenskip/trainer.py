@@ -195,7 +195,7 @@ def _own_code() -> bool:
 
 
 @contextmanager
-def _shards(samples: int, row_macs: Optional[int] = None):
+def _shards(samples: int, row_macs: int):
     """The row slices a batch of ``samples`` runs as: contiguous shards run
     at once, at most one per CPU (``_each``), with OpenBLAS held at one
     thread until the block exits.
@@ -212,9 +212,10 @@ def _shards(samples: int, row_macs: Optional[int] = None):
     multiply-adds, which OpenBLAS may give a small-matrix kernel: on a
     SkylakeX core, 80 rows of (rows, 32) @ (32, 8)ᵀ differ from the same
     rows of a 160-row product, while no aligned row split of a larger
-    product has been seen to. So given ``row_macs``, the multiply-adds per
-    sample of the smallest product whose rows the shards split, the batch
-    runs whole unless that product of every shard is above the bound.
+    product has been seen to. So, with ``row_macs`` the multiply-adds per
+    sample of the smallest product whose rows the shards split
+    (``_row_macs``), the batch runs whole unless that product of every shard
+    is above the bound.
 
     A batch below two aligned shards, or one run without OpenBLAS thread
     controls or with a function of the step's path replaced from outside
@@ -228,8 +229,7 @@ def _shards(samples: int, row_macs: Optional[int] = None):
     bounds = [_SHARD_SAMPLES * (units * i // k) for i in range(1, k)]
     parts = [slice(lo, hi) for lo, hi in zip([0] + bounds, bounds + [samples])]
     smallest = min(part.stop - part.start for part in parts)
-    if k <= 1 or (row_macs is not None
-                  and smallest * row_macs <= _SMALL_GEMM_MACS):
+    if k <= 1 or smallest * row_macs <= _SMALL_GEMM_MACS:
         yield [slice(0, samples)]
         return
     get, set_ = controls
@@ -242,10 +242,10 @@ def _shards(samples: int, row_macs: Optional[int] = None):
 
 
 def _row_macs(model: ViT, schedule: DropSchedule, epoch: int) -> int:
-    """Multiply-adds per sample of the smallest product whose rows a train
-    step's shards split: the patch projection, or a weight product at the
-    layer with the fewest live tokens. Attention's products are per sample,
-    and the head runs on the whole batch (``_train_step``)."""
+    """Multiply-adds per sample of the smallest product whose rows a batch's
+    shards split: the patch projection, or a weight product at the layer
+    with the fewest live tokens. Attention's products are per sample, and
+    the head runs on the whole batch (``_forward``)."""
     c = model.config
     d = c.embed_dim
     fewest = min(min(p.attn_tokens, p.ffn_tokens)
@@ -270,16 +270,37 @@ def _each(fn, items: list) -> list:
     return [first] + [f.result() for f in rest]
 
 
+def _forward(model: ViT, images: np.ndarray, schedule: DropSchedule,
+             epoch: int, parts: list):
+    """The logits and diagnostics of a batch run as ``parts`` (``_shards``),
+    and the shards' CLS embeddings with their join (None for a whole batch).
+
+    Each shard encodes its rows; the head runs once, on the concatenated
+    CLS embeddings, so its small products are never split.
+    """
+    if len(parts) == 1:
+        logits, diag = model.forward(images, schedule, epoch=epoch)
+        return logits, diag, None
+
+    def encode(part):
+        # Only the CLS rows outlive the call, as in ViT.forward.
+        tokens, diag = model.encode(images[part], schedule, epoch=epoch)
+        return vit.cls_embeddings(tokens), diag
+
+    cls, diags = zip(*_each(encode, parts))
+    joined = T.Tensor(np.concatenate([c.data for c in cls]),
+                      requires_grad=cls[0].requires_grad)
+    return model.head(joined), diags[0], (cls, joined)
+
+
 def _eval_logits(model: ViT, images: np.ndarray, schedule: DropSchedule,
                  epoch: int) -> np.ndarray:
-    """Logits of one batch (call under no_grad), run as ``_shards``: the
-    concatenated logits are one forward's in the shapes the tests run. No
-    product bound applies, so a small model's need not be: the tiny
-    preset's differ in their last bits at batch 1280."""
-    with _shards(len(images)) as parts:
-        logits = _each(lambda part: model.forward(images[part], schedule,
-                                                  epoch=epoch)[0].data, parts)
-    return logits[0] if len(logits) == 1 else np.concatenate(logits)
+    """Logits of one batch (call under no_grad), sharded as a train step's
+    forward is (``_shards`` bounded by ``_row_macs``, then ``_forward``), so
+    they are one whole forward's, whatever the CPU count, wherever a step's
+    are."""
+    with _shards(len(images), _row_macs(model, schedule, epoch)) as parts:
+        return _forward(model, images, schedule, epoch, parts)[0].data
 
 
 def _minor_faults() -> int:
@@ -297,36 +318,25 @@ def _train_step(model: ViT, schedule: DropSchedule, opt: AdamW,
     """Forward, loss, backward and AdamW update; returns (loss, logits, diag).
 
     The batch runs as ``_shards``, bounded by ``_row_macs``. Each shard
-    encodes its rows with a graph of its own. The head and the loss run
-    once, on the concatenated CLS embeddings, and each shard walks its graph
-    from its rows of their gradient, the parameter sums running once over
-    the whole batch (``tensor.ShardSums``). So the step has the bits of the
-    whole batch at one BLAS thread wherever its rows do (see ``_shards``).
+    encodes its rows with a graph of its own (``_forward``). The head and
+    the loss run once, on the concatenated CLS embeddings, and each shard
+    walks its graph from its rows of their gradient, the parameter sums
+    running once over the whole batch (``tensor.ShardSums``). So the step
+    has the bits of the whole batch at one BLAS thread wherever its rows do
+    (see ``_shards``).
     If a shard raises, the step raises once every shard has stopped, before
     the update.
     """
     with _shards(len(images), _row_macs(model, schedule, epoch)) as parts:
-        if len(parts) == 1:
-            logits, diag = model.forward(images, schedule, epoch=epoch)
-        else:
-            def encode(part):
-                # Only the CLS rows outlive the call, as in ViT.forward.
-                tokens, diag = model.encode(images[part], schedule,
-                                            epoch=epoch)
-                return vit.cls_embeddings(tokens), diag
-
-            cls, diags = zip(*_each(encode, parts))
-            diag = diags[0]
-            joined = T.Tensor(np.concatenate([c.data for c in cls]),
-                              requires_grad=True)
-            logits = model.head(joined)
+        logits, diag, shards = _forward(model, images, schedule, epoch, parts)
         loss = T.cross_entropy(logits, labels)
         if not np.isfinite(loss.data):
             raise RuntimeError(f"non-finite loss {float(loss.data)} at "
                                f"epoch {epoch} step {step}")
         opt.zero_grad()
         loss.backward()
-        if len(parts) > 1:
+        if shards is not None:
+            cls, joined = shards
             sums = T.ShardSums(len(parts))
             _each(lambda i: sums.backward(cls[i], joined.grad[parts[i]], i),
                   list(range(len(parts))))
@@ -448,8 +458,8 @@ def evaluate(model: ViT, split: Split, schedule: DropSchedule = DropSchedule(),
 
     A given schedule stays active (epoch past warm-up), matching the
     training-time topology; one that does not fit the model is a ValueError.
-    Each batch runs as concurrent shards (``_eval_logits``), aligned so that
-    their logits are one forward's.
+    Each batch runs as concurrent shards where a train step's would
+    (``_eval_logits``), aligned so that their logits are one forward's.
     """
     n = len(split)
     if n == 0:

@@ -78,6 +78,20 @@ class TestAdamW:
             opt.step(1e-3)
         np.testing.assert_array_equal(p.data, [1.0, 1.0, 1.0])
 
+    def test_a_later_non_finite_gradient_fails_before_any_update(self):
+        # The first parameter's gradient is finite, the second's is not:
+        # neither parameter, no moment and not the step count may change.
+        a, b = _param([1.0, 2.0]), _param([3.0])
+        a.grad, b.grad = np.array([0.5, -0.5]), np.array([np.inf])
+        opt = AdamW({"a": a, "b": b}, weight_decay=0.1)
+        with pytest.raises(FloatingPointError, match="parameter 'b'"):
+            opt.step(1e-3)
+        np.testing.assert_array_equal(a.data, [1.0, 2.0])
+        np.testing.assert_array_equal(b.data, [3.0])
+        for moments in (opt.state.m, opt.state.v):
+            assert not any(m.any() for m in moments.values())
+        assert opt.state.step == 0
+
     def test_zero_lr_leaves_parameters(self):
         p = _param([0.0])
         p.grad = np.array([1.0])

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -354,6 +355,67 @@ def test_gelu_matches_textbook_formula_bitwise(dtype, seed):
             assert np.array_equal(T.gelu(Tensor(x)).data, ref_out), shape
 
 
+def _kept_derivative_gelu_grad(x, g):
+    """The input gradient of a GELU that made its local derivative in the
+    forward, in these operations, and kept it for backward."""
+    x2 = x * x
+    th = x2 * x
+    th *= 0.044715
+    th += x
+    th *= T._GELU_C
+    np.tanh(th, out=th)
+    half = x * 0.5
+    deriv = th * th
+    np.subtract(1.0, deriv, out=deriv)
+    deriv *= half
+    x2 *= 3 * 0.044715
+    x2 += 1.0
+    x2 *= T._GELU_C
+    deriv *= x2
+    deriv += (th + 1.0) * 0.5
+    return np.multiply(deriv, g, out=np.empty_like(deriv))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_remakes_its_output_and_derivative_bitwise(dtype):
+    # Row counts on both sides of one and two _GELU_BLOCK_BYTES blocks.
+    rng = np.random.default_rng(18)
+    width = 96
+    step = T._GELU_BLOCK_BYTES // (width * np.dtype(dtype).itemsize)
+    for rows in (1, step - 1, step, step + 1, 2 * step + 1):
+        x = (rng.normal(size=(rows, width)) * 3).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        t = Tensor(x.copy(), requires_grad=True)
+        out = T.gelu(t)
+        remade = out._remake()
+        assert remade.strides == out.data.strides, rows
+        assert not np.shares_memory(remade, out.data), rows
+        assert np.array_equal(remade, out.data), rows
+        _grads_under(out, g)
+        assert out._remake._data is None, rows
+        assert t.grad.dtype == dtype, rows
+        assert np.array_equal(t.grad, _kept_derivative_gelu_grad(x, g)), rows
+
+
+def test_a_recorded_gelu_keeps_no_array_but_its_input():
+    # Nothing reads the output in backward here, and the derivative is
+    # rebuilt there: the graph holds no array the input does not.
+    t = Tensor(np.random.default_rng(19).normal(size=(4, 100, 64))
+               .astype(np.float32), requires_grad=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = T.tensor_sum(T.gelu(t))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < t.data.nbytes / 10, kept
+    loss.backward()
+    assert t.grad.shape == t.shape
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("seed", range(3))
 def test_layernorm_matches_textbook_formula_bitwise(dtype, seed):
@@ -528,10 +590,11 @@ def test_no_op_output_carries_a_remake_without_a_graph(monkeypatch, schedule):
     with T.no_grad():
         model.forward(images, schedule)
     assert carried == []
-    # The same forward with a graph: 19 a block (17 in attention, the ln2
-    # output and the w1 product), and the ln_f output and the logits.
+    # The same forward with a graph: 21 a block (17 in attention, the ln2
+    # output, the w1 product, the GELU output and the w2 product), and the
+    # ln_f output and the logits.
     model.forward(images, schedule)
-    assert len(carried) == 19 * 6 + 2
+    assert len(carried) == 21 * 6 + 2
 
 
 def test_attention_arrays_are_remade_once_and_not_kept(monkeypatch):

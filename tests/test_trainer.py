@@ -262,16 +262,16 @@ class TestShardedEvaluate:
                     assert np.array_equal(shards, whole.data), (n, cpus)
 
     def test_shards_are_aligned_blocks_of_the_batch(self, name, monkeypatch):
-        # Batches under 32 samples (the last of 65, and 3) run whole.
+        # Batches under 32 samples (the last of 65, and 3) run whole, and so
+        # does every batch of a model whose 16-sample shards' products are
+        # too small for a train step to shard (``_row_macs``): the tiny
+        # preset and the odd shape.
         model, schedule, split = shard_case(name, 65)
         monkeypatch.setattr(trainer, "_cpus", lambda: 64)
-        calls = []
-
-        def forward(images, *args, **kwargs):
-            calls.append(len(images))
-            return ViT.forward(model, images, *args, **kwargs)
-
-        sizes = {64: [16] * 4, 65: [1] + [16] * 4, 47: [16, 31], 3: [3]}
+        if name.startswith("desk"):
+            sizes = {64: [16] * 4, 65: [1] + [16] * 4, 47: [16, 31], 3: [3]}
+        else:
+            sizes = {64: [64], 65: [1, 64], 47: [47], 3: [3]}
         for n, shards in sizes.items():
             part = data.Split(split.images[:n], split.labels[:n])
             serial = 0
@@ -280,13 +280,27 @@ class TestShardedEvaluate:
                     logits, _ = model.forward(part.images[lo:lo + 64], schedule)
                     serial += int((logits.data.argmax(axis=1)
                                    == part.labels[lo:lo + 64]).sum())
-            calls.clear()
-            monkeypatch.setattr(model, "forward", forward)
+            calls = _encodes(model, monkeypatch)
             top1 = trainer.evaluate(model, part, schedule, batch_size=64)
-            monkeypatch.delattr(model, "forward")
+            monkeypatch.delattr(model, "encode")
             assert top1 == 100.0 * serial / n
             if trainer._openblas_threads() is not None:
                 assert sorted(calls) == shards, n
+
+
+def test_tiny_eval_logits_do_not_depend_on_the_cpu_count(monkeypatch):
+    # 640-sample shards of the tiny preset's products fall to OpenBLAS's
+    # small-matrix kernels, whose logits differ in their last bits from the
+    # whole batch's; evaluate runs such a batch whole, as a train step would.
+    model, schedule, split = shard_case("tiny_dense", 1280)
+    logits = {}
+    with T.no_grad():
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(trainer, "_cpus", lambda: cpus)
+            logits[cpus] = trainer._eval_logits(model, split.images, schedule,
+                                                PAST_WARMUP)
+    assert np.array_equal(logits[2], logits[1])
+    assert np.array_equal(logits[3], logits[1])
 
 
 def test_replaced_package_code_runs_the_batch_whole(monkeypatch):
@@ -317,11 +331,11 @@ def test_evaluate_restores_the_blas_thread_count(monkeypatch):
     monkeypatch.setattr(trainer, "_cpus", lambda: 2)
     during = []
 
-    def forward(*args, **kwargs):
+    def encode(*args, **kwargs):
         during.append(get())
-        return ViT.forward(model, *args, **kwargs)
+        return ViT.encode(model, *args, **kwargs)
 
-    monkeypatch.setattr(model, "forward", forward)
+    monkeypatch.setattr(model, "encode", encode)
     saved = get()
     try:
         for threads in (2, 3):
